@@ -155,11 +155,6 @@ class TorusGreenEvaluator:
         with np.errstate(divide="ignore"):
             return np.log(np.abs(theta))
 
-    def log_abs_theta1(self, x, y) -> np.ndarray:
-        """ln|theta1(pi z / L1)|; -inf exactly at lattice points."""
-        x, y = self._reduced(x, y)
-        return self._log_abs_theta1_reduced(x, y)
-
     def greens(self, x, y) -> np.ndarray:
         x, y = self._reduced(x, y)
         log_theta = self._log_abs_theta1_reduced(x, y)

@@ -27,6 +27,7 @@ from .background import default_mu, plane_log_u0
 from .discretization import Grid2D
 from .errors import (
     ConfigError,
+    ExponentOverflow,
     InfeasibleDomain,
     LineSearchStalled,
     MaxIterationsExceeded,
@@ -410,7 +411,7 @@ def main(argv=None) -> int:
     except InfeasibleDomain as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except (MaxIterationsExceeded, LineSearchStalled, ConvergenceFailure) as exc:
+    except (MaxIterationsExceeded, LineSearchStalled, ConvergenceFailure, ExponentOverflow) as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, NotRadiallyReducible, VortexLabError, ValueError) as exc:

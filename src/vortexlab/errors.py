@@ -41,9 +41,6 @@ class ExponentOverflow(VortexLabError):
     """An exponential argument exceeded 700: the iterate has diverged."""
 
 
-Overflow = ExponentOverflow  # short alias
-
-
 class MaxIterationsExceeded(VortexLabError):
     """Newton loop hit its iteration budget before reaching tolerance."""
 

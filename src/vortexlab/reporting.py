@@ -20,11 +20,14 @@ import numpy as np
 from .discretization import Grid2D, GridKind, ScalarField
 
 
+_FLOAT_FORMAT = "%.17g"
+
+
 def format_float(x: float) -> str:
     x = float(x)
     if not np.isfinite(x):
         raise ValueError("refusing to serialize a non-finite number")
-    return "%.17g" % x
+    return _FLOAT_FORMAT % x
 
 
 def _serialize(obj, parts: list[str]) -> None:
@@ -73,14 +76,19 @@ def write_json(path: Path, obj) -> None:
 
 def write_fld(path: Path, field: ScalarField) -> None:
     grid = field.grid
-    lines = [
-        "vortexfld 1",
-        f"{grid.nx} {grid.ny}",
-        f"{format_float(grid.x0)} {format_float(grid.y0)} "
-        f"{format_float(grid.hx)} {format_float(grid.hy)}",
-    ]
-    lines.extend(format_float(v) for v in field.values.ravel(order="C"))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    values = field.values
+    if not np.all(np.isfinite(values)):
+        raise ValueError("refusing to serialize a non-finite number")
+    with open(path, "w", encoding="ascii") as f:
+        f.write("vortexfld 1\n")
+        f.write(f"{grid.nx} {grid.ny}\n")
+        f.write(f"{format_float(grid.x0)} {format_float(grid.y0)} "
+                f"{format_float(grid.hx)} {format_float(grid.hy)}\n")
+        # row by row, as Python floats: the bytes of format_float per value
+        # without its per-value checks, and one row of strings alive at a time
+        for row in values:
+            f.write("\n".join(map(_FLOAT_FORMAT.__mod__, row.tolist())))
+            f.write("\n")
 
 
 def read_fld(path: Path, kind: GridKind = GridKind.DIRICHLET_SQUARE) -> ScalarField:

@@ -29,6 +29,14 @@ Two discretization choices matter for reproducibility:
 * the vortex species are put into a canonical order before solving and the
   outputs swapped back, which makes the species-exchange symmetry of the
   system bit-exact.
+
+Each Newton step solves H d = -g by CG preconditioned with (s - Lap)^{-1},
+s = lambda0/2: spectral on the torus, one sine transform plus one tridiagonal
+solve on the plane (see ``discretization``).  That inverse is exact, so
+-Lap z = r - s z for the preconditioned residual z, and q = -Lap p follows
+the recurrence q <- (r - s z) + beta q of the search direction p.  The
+Hessian action is then q + A p with the pointwise multipliers A: an
+iteration costs two preconditioner solves and no Laplacian.
 """
 
 from __future__ import annotations
@@ -301,10 +309,16 @@ class _Problem:
         a22 = self.det * t
         return a11, a12, a22
 
-    def hess_mv(self, mult, d1, d2) -> tuple[np.ndarray, np.ndarray]:
+    def hess_mv(self, mult, d1, d2, nlap1, nlap2, out) -> tuple[np.ndarray, np.ndarray]:
+        """Hessian action on d, written into ``out``, given nlap = -Laplacian(d)."""
         a11, a12, a22 = mult
-        h1 = -laplacian_values(self.grid, d1) + a11 * d1 + a12 * d2
-        h2 = -laplacian_values(self.grid, d2) + a12 * d1 + a22 * d2
+        h1, h2 = out
+        np.multiply(a11, d1, out=h1)
+        h1 += nlap1
+        h1 += a12 * d2
+        np.multiply(a12, d1, out=h2)
+        h2 += nlap2
+        h2 += a22 * d2
         if not self.torus:
             self._zero_boundary(h1)
             self._zero_boundary(h2)
@@ -322,7 +336,11 @@ def _dot(a1, a2, b1, b2) -> float:
 
 
 def _pcg(problem: _Problem, mult, b1, b2, shift, tol_rel, max_iter):
-    """Preconditioned CG for H d = b; raises if negative curvature shows up."""
+    """Preconditioned CG for H d = b; raises if negative curvature shows up.
+
+    Carries q = -Lap p by recurrence (module docstring), so the loop applies
+    no Laplacian: two preconditioner solves per iteration.
+    """
     x1 = np.zeros_like(b1)
     x2 = np.zeros_like(b2)
     r1, r2 = b1.copy(), b2.copy()
@@ -331,26 +349,43 @@ def _pcg(problem: _Problem, mult, b1, b2, shift, tol_rel, max_iter):
         return x1, x2, 0
     z1, z2 = problem.precondition(r1, r2, shift)
     p1, p2 = z1.copy(), z2.copy()
+    q1 = r1 - shift * z1
+    q2 = r2 - shift * z2
     rz = _dot(r1, r2, z1, z2)
     for it in range(1, max_iter + 1):
-        h1, h2 = problem.hess_mv(mult, p1, p2)
+        # z is spent: the Hessian action takes its storage
+        h1, h2 = problem.hess_mv(mult, p1, p2, q1, q2, out=(z1, z2))
         php = _dot(p1, p2, h1, h2)
         if php <= 0.0:
             raise ConvergenceFailure("CG detected nonpositive curvature in the Hessian")
         alpha = rz / php
         x1 += alpha * p1
         x2 += alpha * p2
-        r1 -= alpha * h1
-        r2 -= alpha * h2
+        h1 *= alpha
+        h2 *= alpha
+        r1 -= h1
+        r2 -= h2
         if math.sqrt(_dot(r1, r2, r1, r2)) <= tol_rel * bnorm:
             return x1, x2, it
+        # free the spent buffer before the preconditioner allocates the next z
+        del h1, h2, z1, z2
         z1, z2 = problem.precondition(r1, r2, shift)
         rz_new = _dot(r1, r2, z1, z2)
         beta = rz_new / rz
         rz = rz_new
-        p1 = z1 + beta * p1
-        p2 = z2 + beta * p2
+        _advance(p1, q1, r1, z1, beta, shift)
+        _advance(p2, q2, r2, z2, beta, shift)
     return x1, x2, max_iter
+
+
+def _advance(p, q, r, z, beta, shift) -> None:
+    """In place: p <- z + beta*p and q <- (r - shift*z) + beta*q; scales z."""
+    p *= beta
+    p += z
+    q *= beta
+    q += r
+    z *= shift
+    q -= z
 
 
 def _canonical_orientation(cfg: SolveConfig) -> bool:
@@ -506,7 +541,10 @@ def hessian_matvec(state: State, direction: tuple[ScalarField, ScalarField],
     problem = _Problem(cfg, bg)
     exps = problem.exponentials(state.w1.values, state.w2.values)
     mult = problem.hessian_multipliers(*exps)
-    h1, h2 = problem.hess_mv(mult, direction[0].values, direction[1].values)
+    d1, d2 = direction[0].values, direction[1].values
+    nlap1 = -laplacian_values(cfg.grid, d1)
+    nlap2 = -laplacian_values(cfg.grid, d2)
+    h1, h2 = problem.hess_mv(mult, d1, d2, nlap1, nlap2, out=(np.empty_like(d1), np.empty_like(d2)))
     return ScalarField(cfg.grid, h1), ScalarField(cfg.grid, h2)
 
 

@@ -7,7 +7,8 @@ import pytest
 
 import vortexlab as vl
 from vortexlab import cli
-from vortexlab.reporting import dumps_canonical, read_fld, write_fld
+from vortexlab.errors import ExponentOverflow
+from vortexlab.reporting import dumps_canonical, format_float, read_fld, write_fld
 
 
 TORUS_L = 2 * math.pi
@@ -102,6 +103,16 @@ def test_solve_nonconvergence_exit_3(tmp_path):
     cfg = torus_config(max_newton=1)
     path = write_config(tmp_path, cfg)
     assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 3
+
+
+def test_solve_exponent_overflow_exit_3(tmp_path, monkeypatch, capsys):
+    def diverge(cfg):
+        raise ExponentOverflow("exponent reached 701; iterate diverged")
+
+    monkeypatch.setattr(cli, "newton_solve", diverge)
+    path = write_config(tmp_path, torus_config())
+    assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("non-convergence:")
 
 
 def test_solve_deterministic_and_rerunnable(tmp_path):
@@ -252,3 +263,28 @@ def test_fld_write_read_exact(tmp_path, rng):
     write_fld(tmp_path / "f.fld", field)
     back = read_fld(tmp_path / "f.fld")
     assert np.array_equal(back.values, field.values)
+
+
+def test_fld_bytes_match_per_value_formatter(tmp_path):
+    grid = vl.Grid2D.dirichlet(3.0, 5, 4)
+    values = np.linspace(-2.5, 7.0, grid.nx * grid.ny).reshape(grid.shape)
+    values.flat[:6] = [-0.0, 5e-324, 2.2250738585072014e-309, 1e300, 1.0, -3.0]
+    field = vl.ScalarField(grid, values)
+    write_fld(tmp_path / "f.fld", field)
+    lines = [
+        "vortexfld 1",
+        f"{grid.nx} {grid.ny}",
+        " ".join(format_float(v) for v in (grid.x0, grid.y0, grid.hx, grid.hy)),
+    ]
+    lines.extend(format_float(v) for v in values.ravel(order="C"))
+    expected = ("\n".join(lines) + "\n").encode("ascii")
+    assert (tmp_path / "f.fld").read_bytes() == expected
+    assert b"\n-0\n4.9406564584124654e-324\n" in expected and b"\n1\n-3\n" in expected
+
+
+def test_fld_refuses_non_finite(tmp_path):
+    field = vl.ScalarField(vl.Grid2D.dirichlet(3.0, 4, 4), np.zeros((4, 4)))
+    field.values[1, 1] = np.inf
+    with pytest.raises(ValueError):
+        write_fld(tmp_path / "f.fld", field)
+    assert not (tmp_path / "f.fld").exists()

@@ -67,8 +67,15 @@ def test_integrate_refinement_monotone():
 
 @pytest.mark.parametrize(
     "grid",
-    [vl.Grid2D.periodic(2 * np.pi, 2 * np.pi, 32, 32), vl.Grid2D.dirichlet(3.0, 33, 33)],
-    ids=["torus", "plane"],
+    [
+        vl.Grid2D.periodic(2 * np.pi, 2 * np.pi, 32, 32),
+        vl.Grid2D.periodic(2 * np.pi, 3 * np.pi, 16, 32),
+        vl.Grid2D.dirichlet(3.0, 33, 33),
+        # non-square: hx != hy, and odd (31) and even (16) interior counts
+        vl.Grid2D.dirichlet(3.0, 33, 18),
+        vl.Grid2D.dirichlet(3.0, 18, 33),
+    ],
+    ids=["torus", "torus-16x32", "plane", "plane-33x18", "plane-18x33"],
 )
 def test_poisson_preconditioner_round_trip(grid, rng):
     shift = 2.5

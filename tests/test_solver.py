@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import vortexlab as vl
+from vortexlab import solver
 from vortexlab.errors import (
     ExponentOverflow,
     InfeasibleDomain,
@@ -118,6 +119,80 @@ def test_hessian_matches_gradient_differences(rng):
     scale = max(np.max(np.abs(hd[0].values)), np.max(np.abs(hd[1].values)))
     err = max(np.max(np.abs(fd1 - hd[0].values)), np.max(np.abs(fd2 - hd[1].values)))
     assert err < 1e-5 * scale
+
+
+@pytest.mark.parametrize("setup", [small_torus_setup, small_plane_setup], ids=["torus", "plane"])
+def test_pcg_direction_solves_explicit_hessian(setup, rng):
+    # _pcg carries -Lap p by recurrence; check its answer against the public
+    # Hessian, which applies the Laplacian explicitly
+    cfg, bg = setup(n=32)
+    state = random_state(cfg, rng)
+    problem = solver._Problem(cfg, bg)
+    w1, w2 = state.w1.values, state.w2.values
+    exps = problem.exponentials(w1, w2)
+    g1, g2 = problem.gradient(w1, w2, exps=exps)
+    mult = problem.hessian_multipliers(*exps)
+    tol = 1e-8
+    d1, d2, its = solver._pcg(problem, mult, -g1, -g2, cfg.coupling.lambda0 / 2.0, tol, 400)
+    assert 0 < its < 400
+    h1, h2 = vl.hessian_matvec(state, (vl.ScalarField(cfg.grid, d1), vl.ScalarField(cfg.grid, d2)),
+                               cfg, bg)
+    res = math.sqrt(float(np.sum((h1.values + g1) ** 2) + np.sum((h2.values + g2) ** 2)))
+    gnorm = math.sqrt(float(np.sum(g1**2) + np.sum(g2**2)))
+    assert res <= tol * gnorm
+
+
+def _plane_config():
+    k = vl.coupling_from_pq(1.0, 2.0)
+    return vl.SolveConfig(
+        coupling=k,
+        vortices=vl.VortexSet(up=((-0.7, -0.5, 1), (0.8, -0.4, 1)), down=((0.1, 0.7, 1),)),
+        domain=vl.DomainSpec.plane(9.0),
+        grid=vl.Grid2D.dirichlet(9.0, 33, 33),
+    )
+
+
+def _torus_config():
+    l = 2 * np.pi
+    return vl.SolveConfig(
+        coupling=vl.coupling_from_pq(1.0, 2.0),
+        vortices=vl.VortexSet(up=((1.9, 1.9, 1), (4.4, 3.5, 1)), down=((3.1, 4.7, 1),)),
+        domain=vl.DomainSpec.torus(l, l),
+        grid=vl.Grid2D.periodic(l, l, 32, 32),
+    )
+
+
+@pytest.mark.parametrize("make_cfg", [_torus_config, _plane_config], ids=["torus", "plane"])
+def test_pcg_transform_count(make_cfg, monkeypatch):
+    # each CG iteration costs two preconditioner solves and no Laplacian
+    counts = {"laplacian_in_pcg": 0, "laplacian": 0, "precond": 0}
+    inside = []
+    laplacian, precond, pcg = solver.laplacian_values, solver.solve_shifted_poisson, solver._pcg
+
+    def counted_laplacian(*args):
+        counts["laplacian"] += 1
+        counts["laplacian_in_pcg"] += bool(inside)
+        return laplacian(*args)
+
+    def counted_precond(*args):
+        counts["precond"] += 1
+        return precond(*args)
+
+    def marked_pcg(*args):
+        inside.append(True)
+        try:
+            return pcg(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(solver, "laplacian_values", counted_laplacian)
+    monkeypatch.setattr(solver, "solve_shifted_poisson", counted_precond)
+    monkeypatch.setattr(solver, "_pcg", marked_pcg)
+    sol = vl.newton_solve(make_cfg())
+    cg_iterations = sum(step.cg_iterations for step in sol.history)
+    assert cg_iterations > 0 and counts["laplacian"] > 0
+    assert counts["laplacian_in_pcg"] == 0
+    assert counts["precond"] == 2 * cg_iterations
 
 
 # -- Newton solves ----------------------------------------------------------------
