@@ -18,14 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretization import Grid2D, ScalarField, constant_field
+from .discretization import Grid2D, ScalarField
 from .errors import NonPositiveMu
 from .model import DomainSpec, VortexSet
 
 
 @dataclass
 class BackgroundData:
-    """exp(u0) and source fields for both species, on the solver grid.
+    """exp(u0) for both species, on the solver grid.
 
     On the plane ``log_up``/``log_down`` hold u0 itself (with -inf where a
     vortex sits exactly on a node); on the torus they are None.
@@ -33,8 +33,6 @@ class BackgroundData:
 
     exp_u0_up: ScalarField
     exp_u0_down: ScalarField
-    source_up: ScalarField
-    source_down: ScalarField
     mu: float | None = None
     log_up: np.ndarray | None = field(default=None, repr=False)
     log_down: np.ndarray | None = field(default=None, repr=False)
@@ -43,8 +41,6 @@ class BackgroundData:
         return BackgroundData(
             exp_u0_up=self.exp_u0_down,
             exp_u0_down=self.exp_u0_up,
-            source_up=self.source_down,
-            source_down=self.source_up,
             mu=self.mu,
             log_up=self.log_down,
             log_down=self.log_up,
@@ -88,16 +84,11 @@ def plane_source(vortices, mu: float, x: np.ndarray, y: np.ndarray) -> np.ndarra
 
 def _plane_species(vortices, mu, xg, yg):
     exp_u0 = np.ones_like(xg)
-    source = np.zeros_like(xg)
-    log_u0 = np.zeros_like(xg)
     for px, py, m in vortices:
         d2 = (xg - px) ** 2 + (yg - py) ** 2
         # product form keeps exact zeros on nodes hit by a vortex
         exp_u0 *= (d2 / (mu + d2)) ** m
-        source += 4.0 * m * mu / (mu + d2) ** 2
-        with np.errstate(divide="ignore"):
-            log_u0 -= m * np.log1p(mu / d2)
-    return exp_u0, source, log_u0
+    return exp_u0, plane_log_u0(vortices, mu, xg, yg)
 
 
 def plane_background(vortices: VortexSet, mu: float, grid: Grid2D) -> BackgroundData:
@@ -105,13 +96,11 @@ def plane_background(vortices: VortexSet, mu: float, grid: Grid2D) -> Background
     if mu <= 0:
         raise NonPositiveMu(f"mu must be positive, got {mu}")
     xg, yg = grid.meshgrid()
-    exp_up, src_up, log_up = _plane_species(vortices.up, mu, xg, yg)
-    exp_dn, src_dn, log_dn = _plane_species(vortices.down, mu, xg, yg)
+    exp_up, log_up = _plane_species(vortices.up, mu, xg, yg)
+    exp_dn, log_dn = _plane_species(vortices.down, mu, xg, yg)
     return BackgroundData(
         exp_u0_up=ScalarField(grid, exp_up),
         exp_u0_down=ScalarField(grid, exp_dn),
-        source_up=ScalarField(grid, src_up),
-        source_down=ScalarField(grid, src_dn),
         mu=mu,
         log_up=log_up,
         log_down=log_dn,
@@ -191,12 +180,9 @@ def torus_background(vortices: VortexSet, domain: DomainSpec, grid: Grid2D) -> B
     xg, yg = grid.meshgrid()
     exp_up = _torus_species(vortices.up, green, xg, yg)
     exp_dn = _torus_species(vortices.down, green, xg, yg)
-    area = domain.area
     return BackgroundData(
         exp_u0_up=ScalarField(grid, exp_up),
         exp_u0_down=ScalarField(grid, exp_dn),
-        source_up=constant_field(grid, 4.0 * np.pi * vortices.n1 / area),
-        source_down=constant_field(grid, 4.0 * np.pi * vortices.n2 / area),
         mu=None,
     )
 

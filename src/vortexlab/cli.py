@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,7 @@ from .model import (
     PhysicalParams,
     VortexSet,
     check_admissibility,
+    choleski_inverse_values,
     coupling_from_pq,
     merge_coincident,
     validate_vortex_positions,
@@ -229,13 +231,7 @@ def _build_problem(resolved: dict):
 
 
 def _admissibility_dict(cfg: SolveConfig) -> dict:
-    rep = check_admissibility(cfg.coupling, cfg.vortices.n1, cfg.vortices.n2, cfg.domain.area)
-    return {
-        "threshold": rep.threshold,
-        "eta1": rep.eta1,
-        "eta2": rep.eta2,
-        "feasible": rep.feasible,
-    }
+    return asdict(check_admissibility(cfg.coupling, cfg.vortices.n1, cfg.vortices.n2, cfg.domain.area))
 
 
 def run_check(resolved: dict, out_dir: Path) -> int:
@@ -250,21 +246,10 @@ def _solution_report(resolved: dict, params, cfg, sol) -> dict:
     diag = diagnostics.build_report(sol, params)
     n1, n2 = cfg.vortices.n1, cfg.vortices.n2
     diag_dict = {
-        "flux1": diag.flux1,
-        "flux2": diag.flux2,
+        **asdict(diag),
         "flux_expected": [-math.pi * n1, -math.pi * n2],
-        "physical_flux1": diag.physical_flux1,
-        "physical_flux2": diag.physical_flux2,
         "physical_flux_expected": [-2.0 * math.pi * params.p * n1, -2.0 * math.pi * params.p * n2],
-        "energy_integral": diag.energy_integral,
         "energy_expected": -math.pi * (n1 + n2) / 2.0,
-        "residual_inf": diag.residual_inf,
-        "eta1_measured": diag.eta1_measured,
-        "eta2_measured": diag.eta2_measured,
-        "decay_rate": diag.decay_rate,
-        "decay_r2": diag.decay_r2,
-        "gradient_decay_rate": diag.gradient_decay_rate,
-        "gradient_decay_r2": diag.gradient_decay_r2,
     }
     return {
         "config": resolved,
@@ -274,16 +259,7 @@ def _solution_report(resolved: dict, params, cfg, sol) -> dict:
             "newton_iterations": sol.newton_iterations,
             "final_residual": sol.final_residual,
             "functional_value": sol.functional_value,
-            "history": [
-                {
-                    "iteration": s.iteration,
-                    "residual_inf": s.residual_inf,
-                    "functional": s.functional,
-                    "step_size": s.step_size,
-                    "cg_iterations": s.cg_iterations,
-                }
-                for s in sol.history
-            ],
+            "history": [asdict(s) for s in sol.history],
         },
         "diagnostics": diag_dict,
     }
@@ -327,9 +303,8 @@ def run_oracle_compare(resolved: dict, out_dir: Path) -> int:
     sol = newton_solve(cfg)
 
     k = cfg.coupling
-    rate = math.sqrt(2.0 * min(k.lambda1, k.lambda2))
     r_half = cfg.domain.half_width
-    rmax = max(r_half, 20.0 / rate)
+    rmax = max(r_half, 20.0 / k.decay_rate)
     r_oracle, u1_oracle, u2_oracle = radial_oracle(k, n1, n2, rmax, mesh=resolved["oracle_mesh"])
 
     grid = cfg.grid
@@ -337,13 +312,10 @@ def run_oracle_compare(resolved: dict, out_dir: Path) -> int:
     r_lo = max(0.5, 3.0 * max(grid.hx, grid.hy))
     r_hi = 0.8 * r_half
     radii = np.linspace(r_lo, r_hi, 48)
-    theta = (np.arange(720) + 0.5) * (2.0 * np.pi / 720)
-    x = radii[:, None] * np.cos(theta)[None, :]
-    y = radii[:, None] * np.sin(theta)[None, :]
+    x, y = diagnostics.ring_points(radii, 720)
     # sample u through the analytic background plus the interpolated smooth
     # correction; interpolating u directly would lose accuracy at the core
-    v1 = k.sqrt_det * sol.state.w1.values
-    v2 = (k.det * sol.state.w2.values + k.k21 * k.sqrt_det * sol.state.w1.values) / k.k11
+    v1, v2 = choleski_inverse_values(sol.state.w1.values, sol.state.w2.values, k)
     u1_rings = (
         plane_log_u0(cfg.vortices.up, mu, x, y)
         + diagnostics.bilinear_sample(grid, v1, x, y)

@@ -8,16 +8,14 @@ amplitude level.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .background import BackgroundData
-from .discretization import Grid2D, ScalarField, integrate
+from .discretization import Grid2D, GridKind, ScalarField, integrate
 from .errors import InsufficientDecayWindow
-from .model import CouplingMatrix, DomainSpec, PhysicalParams, VortexSet, choleski_inverse
-from .solver import LOG2, SolveConfig, Solution, functional_gradient
+from .model import PhysicalParams, VortexSet, choleski_inverse
+from .solver import LOG2, Solution, functional_gradient
 
 
 @dataclass(frozen=True)
@@ -46,9 +44,9 @@ class DiagnosticsReport:
 
 # -- Integral identities ---------------------------------------------------------
 
-def flux_report(sol: Solution, k: CouplingMatrix, vortices: VortexSet,
-                domain: DomainSpec) -> tuple[float, float]:
+def flux_report(sol: Solution) -> tuple[float, float]:
     """Dimensionless flux integrals; the exact values are (-pi N1, -pi N2)."""
+    k = sol.config.coupling
     e1, e2 = sol.exp_u1.values, sol.exp_u2.values
     grid = sol.u1.grid
     flux1 = integrate(ScalarField(grid, k.k11 * e1 + k.k12 * e2 - 1.0))
@@ -56,10 +54,9 @@ def flux_report(sol: Solution, k: CouplingMatrix, vortices: VortexSet,
     return flux1, flux2
 
 
-def eta_report(sol: Solution, bg: BackgroundData, k: CouplingMatrix,
-               domain: DomainSpec) -> tuple[float, float]:
+def eta_report(sol: Solution) -> tuple[float, float]:
     """Measured exponential masses; must match the closed forms eta1, eta2."""
-    domain.require_torus()
+    sol.config.domain.require_torus()
     return integrate(sol.exp_u1), integrate(sol.exp_u2)
 
 
@@ -85,7 +82,8 @@ def bilinear_sample(grid: Grid2D, values: np.ndarray, x: np.ndarray, y: np.ndarr
     return (1 - ty) * ((1 - tx) * v00 + tx * v01) + ty * ((1 - tx) * v10 + tx * v11)
 
 
-def _ring_points(radii: np.ndarray, n_angles: int) -> tuple[np.ndarray, np.ndarray]:
+def ring_points(radii: np.ndarray, n_angles: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) of shape (len(radii), n_angles) on origin-centered circles, at mid-cell angles."""
     theta = (np.arange(n_angles) + 0.5) * (2.0 * np.pi / n_angles)
     x = radii[:, None] * np.cos(theta)[None, :]
     y = radii[:, None] * np.sin(theta)[None, :]
@@ -95,7 +93,7 @@ def _ring_points(radii: np.ndarray, n_angles: int) -> tuple[np.ndarray, np.ndarr
 def ring_means(grid: Grid2D, values: np.ndarray, radii: np.ndarray,
                n_angles: int = 720) -> np.ndarray:
     """Angular averages of a grid field over origin-centered circles."""
-    x, y = _ring_points(radii, n_angles)
+    x, y = ring_points(radii, n_angles)
     return bilinear_sample(grid, values, x, y).mean(axis=1)
 
 
@@ -131,19 +129,17 @@ def _central_gradients(grid: Grid2D, values: np.ndarray) -> tuple[np.ndarray, np
     return gx, gy
 
 
-def decay_fit(sol: Solution, k: CouplingMatrix, domain: DomainSpec,
-              n_rings: int = 32, n_angles: int = 720) -> DecayFit:
+def decay_fit(sol: Solution, n_rings: int = 32, n_angles: int = 720) -> DecayFit:
     """Fit the far-field rates of (u1+ln2)^2+(u2+ln2)^2 and of the gradients.
 
     The fit annulus is r in [0.5 R, 0.8 R]; the theorem guarantees a rate of
     at least (1-eps) sqrt(lambda0).
     """
-    domain.require_plane()
-    r_half = domain.half_width
+    r_half = sol.config.domain.require_plane().half_width
     r_lo, r_hi = 0.5 * r_half, 0.8 * r_half
     grid = sol.u1.grid
     radii = np.linspace(r_lo, r_hi, n_rings)
-    x, y = _ring_points(radii, n_angles)
+    x, y = ring_points(radii, n_angles)
     dev1 = bilinear_sample(grid, sol.u1.values, x, y) + LOG2
     dev2 = bilinear_sample(grid, sol.u2.values, x, y) + LOG2
     inner_peak = float(max(np.max(np.abs(dev1[0])), np.max(np.abs(dev2[0]))))
@@ -190,7 +186,7 @@ def field_maps(sol: Solution, params: PhysicalParams) -> dict[str, ScalarField]:
 def _vortex_cell_mask(grid: Grid2D, vortices: VortexSet, halo: int = 2) -> np.ndarray:
     """True on nodes within ``halo`` cells of a vortex (delta sources live there)."""
     mask = np.zeros(grid.shape, dtype=bool)
-    periodic = grid.kind.name == "PERIODIC_CELL"
+    periodic = grid.kind is GridKind.PERIODIC_CELL
     for x, y, _ in vortices.up + vortices.down:
         ix = int(round((x - grid.x0) / grid.hx))
         iy = int(round((y - grid.y0) / grid.hy))
@@ -204,14 +200,15 @@ def _vortex_cell_mask(grid: Grid2D, vortices: VortexSet, halo: int = 2) -> np.nd
     return mask
 
 
-def residual_norm(sol: Solution, cfg: SolveConfig, bg: BackgroundData) -> float:
+def residual_norm(sol: Solution) -> float:
     """Inf-norm of the original-variable residual away from vortex cells.
 
     The transformed-system gradient maps back to the u-variable residual
     through the inverse Choleski transform; away from the masked cells the
     background identity holds and the two residuals coincide.
     """
-    g1, g2 = functional_gradient(sol.state, cfg, bg)
+    cfg = sol.config
+    g1, g2 = functional_gradient(sol.state, cfg, sol.background)
     r1, r2 = choleski_inverse(g1, g2, cfg.coupling)
     mask = _vortex_cell_mask(cfg.grid, cfg.vortices)
     if not cfg.domain.is_torus:
@@ -225,17 +222,16 @@ def residual_norm(sol: Solution, cfg: SolveConfig, bg: BackgroundData) -> float:
 
 def build_report(sol: Solution, params: PhysicalParams) -> DiagnosticsReport:
     cfg = sol.config
-    k = cfg.coupling
-    flux1, flux2 = flux_report(sol, k, cfg.vortices, cfg.domain)
+    flux1, flux2 = flux_report(sol)
     energy = energy_report(sol)
-    res = residual_norm(sol, cfg, sol.background)
+    res = residual_norm(sol)
     eta1 = eta2 = None
     rate = r2 = grate = gr2 = None
     if cfg.domain.is_torus:
-        eta1, eta2 = eta_report(sol, sol.background, k, cfg.domain)
+        eta1, eta2 = eta_report(sol)
     else:
         try:
-            fit = decay_fit(sol, k, cfg.domain)
+            fit = decay_fit(sol)
             rate, r2, grate, gr2 = fit.rate, fit.r2, fit.gradient_rate, fit.gradient_r2
         except InsufficientDecayWindow:
             pass

@@ -97,17 +97,6 @@ class ScalarField:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("non-finite values in ScalarField")
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
-
-def zeros_like(grid: Grid2D) -> ScalarField:
-    return ScalarField(grid, np.zeros(grid.shape))
-
-
-def constant_field(grid: Grid2D, value: float) -> ScalarField:
-    return ScalarField(grid, np.full(grid.shape, float(value)))
-
 
 def require_same_grid(*fields: ScalarField) -> Grid2D:
     grid = fields[0].grid

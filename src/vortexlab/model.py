@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .discretization import ScalarField, require_same_grid
 from .errors import (
     DecoupledSystem,
@@ -73,6 +75,11 @@ class CouplingMatrix:
     @property
     def sqrt_det(self) -> float:
         return math.sqrt(self.det)
+
+    @property
+    def decay_rate(self) -> float:
+        """Rate sqrt(2 min(lambda1, lambda2)) at which the linearized far field u + ln 2 decays."""
+        return math.sqrt(2.0 * min(self.lambda1, self.lambda2))
 
 
 def coupling_from_pq(p: float, q: float) -> CouplingMatrix:
@@ -244,17 +251,26 @@ def check_admissibility(k: CouplingMatrix, n1: int, n2: int, area: float) -> Adm
 
 # -- Choleski change of variables ----------------------------------------------
 
+def choleski_forward_values(v1: np.ndarray, v2: np.ndarray, k: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(v1, v2) -> (w1, w2) = (v1/sqrt(det), (k11*v2 - k21*v1)/det) on raw arrays."""
+    return v1 / k.sqrt_det, (k.k11 * v2 - k.k21 * v1) / k.det
+
+
+def choleski_inverse_values(w1: np.ndarray, w2: np.ndarray, k: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of choleski_forward_values on raw arrays."""
+    sdet = k.sqrt_det
+    return sdet * w1, (k.det * w2 + k.k21 * sdet * w1) / k.k11
+
+
 def choleski_forward(v1: ScalarField, v2: ScalarField, k: CouplingMatrix) -> tuple[ScalarField, ScalarField]:
-    """(v1, v2) -> (w1, w2) = (v1/sqrt(det), (k11*v2 - k21*v1)/det), pointwise."""
+    """choleski_forward_values on fields, pointwise."""
     grid = require_same_grid(v1, v2)
-    w1 = v1.values / k.sqrt_det
-    w2 = (k.k11 * v2.values - k.k21 * v1.values) / k.det
+    w1, w2 = choleski_forward_values(v1.values, v2.values, k)
     return ScalarField(grid, w1), ScalarField(grid, w2)
 
 
 def choleski_inverse(w1: ScalarField, w2: ScalarField, k: CouplingMatrix) -> tuple[ScalarField, ScalarField]:
     """Inverse of choleski_forward."""
     grid = require_same_grid(w1, w2)
-    v1 = k.sqrt_det * w1.values
-    v2 = (k.det * w2.values + k.k21 * k.sqrt_det * w1.values) / k.k11
+    v1, v2 = choleski_inverse_values(w1.values, w2.values, k)
     return ScalarField(grid, v1), ScalarField(grid, v2)

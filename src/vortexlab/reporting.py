@@ -91,7 +91,8 @@ def write_fld(path: Path, field: ScalarField) -> None:
             f.write("\n")
 
 
-def read_fld(path: Path, kind: GridKind = GridKind.DIRICHLET_SQUARE) -> ScalarField:
+def read_fld(path: Path, kind: GridKind) -> ScalarField:
+    """Read a ``.fld`` dump; the v1 header does not record the grid kind."""
     lines = Path(path).read_text(encoding="ascii").splitlines()
     if lines[0] != "vortexfld 1":
         raise ValueError(f"not a vortexfld file: {path}")

@@ -74,6 +74,8 @@ from .model import (
     DomainSpec,
     VortexSet,
     check_admissibility,
+    choleski_forward_values,
+    choleski_inverse_values,
     validate_vortex_positions,
 )
 
@@ -162,29 +164,23 @@ class Solution:
 
 def default_plane_half_width(k: CouplingMatrix, vortices: VortexSet) -> float:
     """Truncation radius making the committed boundary error < 1e-8."""
-    rate = math.sqrt(2.0 * min(k.lambda1, k.lambda2))
-    return vortices.farthest_radius() + 18.0 / rate
+    return vortices.farthest_radius() + 18.0 / k.decay_rate
 
 
 class _Problem:
     """Discrete functional/gradient/Hessian in raw-array form."""
 
     def __init__(self, cfg: SolveConfig, bg: BackgroundData):
-        k = cfg.coupling
-        self.cfg = cfg
+        k = self.k = cfg.coupling
         self.grid = cfg.grid
         self.torus = cfg.domain.is_torus
-        self.k11 = k.k11
-        self.k21 = k.k21
-        self.det = k.det
-        self.sdet = k.sqrt_det
         self.a1 = bg.exp_u0_up.values
         self.a2 = bg.exp_u0_down.values
         factor = 4.0 if self.torus else 2.0
         self.factor = factor
-        self.coef_g1_e1 = factor * self.k11 / self.sdet
-        self.coef_g1_e2 = factor * self.k21 / self.sdet
-        self.coef_value = factor * self.k11 / self.det
+        self.coef_g1_e1 = factor * k.k11 / k.sqrt_det
+        self.coef_g1_e2 = factor * k.k21 / k.sqrt_det
+        self.coef_value = factor * k.k11 / k.det
 
         area = cfg.domain.area
         n1, n2 = cfg.vortices.n1, cfg.vortices.n2
@@ -194,8 +190,8 @@ class _Problem:
                 raise InfeasibleDomain(
                     f"cell area {area:.6g} is below the existence threshold {report.threshold:.6g}"
                 )
-            self.c1 = (4.0 / self.sdet) * (1.0 - math.pi * n1 / area)
-            self.c2 = 2.0 - (4.0 * math.pi / (area * self.det)) * (self.k11 * n2 - self.k21 * n1)
+            self.c1 = (4.0 / k.sqrt_det) * (1.0 - math.pi * n1 / area)
+            self.c2 = 2.0 - (4.0 * math.pi / (area * k.det)) * (k.k11 * n2 - k.k21 * n1)
             self.boundary_w1 = None
             self.boundary_w2 = None
             self.lin1 = None
@@ -214,9 +210,8 @@ class _Problem:
                 shift2 = plane_log_u0_shift(cfg.vortices.down, mu, mu_star, xg, yg)
                 g1 = g1 + laplacian_values(self.grid, shift1)
                 g2 = g2 + laplacian_values(self.grid, shift2)
-            h1 = g1 / self.sdet
-            h2 = (self.k11 * g2 - self.k21 * g1) / self.det
-            self.lin1 = h1 - 4.0 / self.sdet
+            h1, h2 = choleski_forward_values(g1, g2, k)
+            self.lin1 = h1 - 4.0 / k.sqrt_det
             self.lin2 = h2 - 2.0
             self._zero_boundary(self.lin1)
             self._zero_boundary(self.lin2)
@@ -228,8 +223,7 @@ class _Problem:
             for ring in (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1]):
                 tv1[ring] = -bg.log_up[ring]
                 tv2[ring] = -bg.log_down[ring]
-            self.boundary_w1 = tv1 / self.sdet
-            self.boundary_w2 = (self.k11 * tv2 - self.k21 * tv1) / self.det
+            self.boundary_w1, self.boundary_w2 = choleski_forward_values(tv1, tv2, k)
 
     # -- helpers --------------------------------------------------------------
 
@@ -254,8 +248,7 @@ class _Problem:
         arr[:, 0] = arr[:, -1] = 0.0
 
     def exponentials(self, w1, w2) -> tuple[np.ndarray, np.ndarray]:
-        s1 = self.sdet * w1
-        s2 = (self.det * w2 + self.k21 * self.sdet * w1) / self.k11
+        s1, s2 = choleski_inverse_values(w1, w2, self.k)
         peak = max(np.max(s1), np.max(s2))
         if peak > EXP_GUARD:
             raise ExponentOverflow(f"exponent reached {peak:.3g}; iterate diverged")
@@ -303,10 +296,11 @@ class _Problem:
         return g1, g2
 
     def hessian_multipliers(self, e1, e2):
-        t = (self.factor / self.k11) * e2
-        a11 = self.factor * self.k11 * e1 + self.k21**2 * t
-        a12 = self.k21 * self.sdet * t
-        a22 = self.det * t
+        k = self.k
+        t = (self.factor / k.k11) * e2
+        a11 = self.factor * k.k11 * e1 + k.k21**2 * t
+        a12 = k.k21 * k.sqrt_det * t
+        a22 = k.det * t
         return a11, a12, a22
 
     def hess_mv(self, mult, d1, d2, nlap1, nlap2, out) -> tuple[np.ndarray, np.ndarray]:
@@ -456,8 +450,7 @@ def _solve_canonical(cfg: SolveConfig, bg: BackgroundData, initial_state: State 
 
 def _recover_fields(problem: _Problem, bg: BackgroundData, w1, w2):
     """Map (w1, w2) back to u-variables; exact zeros survive in exp form."""
-    v1 = problem.sdet * w1
-    v2 = (problem.det * w2 + problem.k21 * problem.sdet * w1) / problem.k11
+    v1, v2 = choleski_inverse_values(w1, w2, problem.k)
     half = 1.0 if problem.torus else 0.5
     shift = 0.0 if problem.torus else LOG2
     a1, a2 = bg.exp_u0_up.values, bg.exp_u0_down.values
@@ -500,8 +493,7 @@ def newton_solve(cfg: SolveConfig, bg: BackgroundData | None = None,
         exp_u1, exp_u2 = exp_u2, exp_u1
         v1, v2 = v2, v1
         # re-express the state in the caller's species order
-        w1 = v1 / problem.sdet
-        w2 = (problem.k11 * v2 - problem.k21 * v1) / problem.det
+        w1, w2 = choleski_forward_values(v1, v2, cfg.coupling)
 
     grid = cfg.grid
     state = State(ScalarField(grid, w1), ScalarField(grid, w2))
@@ -560,7 +552,7 @@ def radial_oracle(k: CouplingMatrix, n1: int, n2: int, rmax: float,
     """
     if n1 < 0 or n2 < 0:
         raise ValueError("vortex numbers must be nonnegative")
-    rate = math.sqrt(2.0 * min(k.lambda1, k.lambda2))
+    rate = k.decay_rate
     if rmax < 20.0 / rate:
         raise ValueError(f"rmax must be at least {20.0 / rate:.3g} for this coupling")
     if mesh < 64:

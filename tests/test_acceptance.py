@@ -75,7 +75,7 @@ def test_criterion_01_vacuum_exactness():
     sol = vl.newton_solve(cfg)
     elapsed = time.perf_counter() - t0
     dev = max(np.max(np.abs(sol.u1.values + LOG2)), np.max(np.abs(sol.u2.values + LOG2)))
-    f1, f2 = vl.flux_report(sol, k, cfg.vortices, cfg.domain)
+    f1, f2 = vl.flux_report(sol)
     ok = dev <= 1e-12 and abs(f1) <= 1e-12 and abs(f2) <= 1e-12 and elapsed < 1.0
     _report(1, "vacuum exactness", ok,
             f"max|u+ln2|={dev:.2e} flux=({f1:.2e},{f2:.2e}) time={elapsed:.2f}s")
@@ -83,7 +83,7 @@ def test_criterion_01_vacuum_exactness():
 
 def test_criterion_02_torus_flux_quantization(torus_run):
     cfg, sol, elapsed = torus_run
-    f1, f2 = vl.flux_report(sol, cfg.coupling, cfg.vortices, cfg.domain)
+    f1, f2 = vl.flux_report(sol)
     err1 = abs(f1 + 2 * math.pi) / (2 * math.pi)
     err2 = abs(f2 + math.pi) / math.pi
     ok = err1 <= 0.005 and err2 <= 0.005 and elapsed < 30.0
@@ -93,7 +93,7 @@ def test_criterion_02_torus_flux_quantization(torus_run):
 
 def test_criterion_03_plane_flux_quantization(plane_run):
     cfg, sol, elapsed = plane_run
-    f1, f2 = vl.flux_report(sol, cfg.coupling, cfg.vortices, cfg.domain)
+    f1, f2 = vl.flux_report(sol)
     err1 = abs(f1 + math.pi) / math.pi
     err2 = abs(f2) / math.pi
     ok = err1 <= 0.005 and err2 <= 0.005 and elapsed < 60.0
@@ -103,7 +103,7 @@ def test_criterion_03_plane_flux_quantization(plane_run):
 
 def test_criterion_04_eta_identities(torus_run):
     cfg, sol, _ = torus_run
-    eta1, eta2 = vl.eta_report(sol, sol.background, cfg.coupling, cfg.domain)
+    eta1, eta2 = vl.eta_report(sol)
     predicted = vl.check_admissibility(
         cfg.coupling, cfg.vortices.n1, cfg.vortices.n2, cfg.domain.area
     )
@@ -153,7 +153,7 @@ def test_criterion_06_feasibility_gate():
 
 def test_criterion_07_decay_bound(plane_run):
     cfg, sol, _ = plane_run
-    fit = vl.decay_fit(sol, cfg.coupling, cfg.domain)
+    fit = vl.decay_fit(sol)
     bound = 0.8 * math.sqrt(cfg.coupling.lambda0)
     ok = fit.rate >= bound and fit.gradient_rate >= bound
     _report(7, "decay bound", ok,

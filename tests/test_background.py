@@ -5,7 +5,13 @@ import pytest
 from scipy.integrate import quad
 
 import vortexlab as vl
-from vortexlab.background import plane_background, plane_log_u0, plane_log_u0_shift, torus_background
+from vortexlab.background import (
+    plane_background,
+    plane_log_u0,
+    plane_log_u0_shift,
+    plane_source,
+    torus_background,
+)
 from vortexlab.errors import NonPositiveMu, WrongDomainKind
 
 
@@ -13,10 +19,12 @@ from vortexlab.errors import NonPositiveMu, WrongDomainKind
 
 def test_plane_vacuum():
     grid = vl.Grid2D.dirichlet(5.0, 32, 32)
-    bg = plane_background(vl.VortexSet(), 16.0, grid)
+    vs = vl.VortexSet()
+    bg = plane_background(vs, 16.0, grid)
     assert np.all(bg.exp_u0_up.values == 1.0)
-    assert not bg.source_up.values.any()
-    assert not bg.source_down.values.any()
+    xg, yg = grid.meshgrid()
+    assert not plane_source(vs.up, 16.0, xg, yg).any()
+    assert not plane_source(vs.down, 16.0, xg, yg).any()
 
 
 def test_plane_single_vortex_values():
@@ -28,7 +36,8 @@ def test_plane_single_vortex_values():
     assert bg.exp_u0_up.values[iy0, ix0] == 0.0  # exact zero at the vortex node
     ix2 = 70  # x = 2
     assert bg.exp_u0_up.values[iy0, ix2] == pytest.approx(0.5, abs=1e-12)
-    assert bg.source_up.values[iy0, ix0] == pytest.approx(1.0, abs=1e-12)
+    xg, yg = grid.meshgrid()
+    assert plane_source(vs.up, 4.0, xg, yg)[iy0, ix0] == pytest.approx(1.0, abs=1e-12)
     # species 2 untouched
     assert np.all(bg.exp_u0_down.values == 1.0)
 
@@ -41,8 +50,7 @@ def test_plane_source_mass_independent_of_mu(mu):
     # grid quadrature agrees once the truncation tail is small
     vs = vl.VortexSet(up=((1.0, 2.0, 1), (-3.0, 0.5, 2)))
     grid = vl.Grid2D.dirichlet(400.0, 1024, 1024)
-    bg = plane_background(vs, mu, grid)
-    total = vl.integrate(bg.source_up)
+    total = vl.integrate(vl.ScalarField(grid, plane_source(vs.up, mu, *grid.meshgrid())))
     assert abs(total - 4 * np.pi * vs.n1) < 1e-3 * 4 * np.pi * vs.n1
 
 
@@ -146,18 +154,16 @@ def test_torus_vacuum_background():
     grid = vl.Grid2D.periodic(dom.l1, dom.l2, 32, 32)
     bg = torus_background(vl.VortexSet(), dom, grid)
     assert np.all(bg.exp_u0_up.values == 1.0)
-    assert not bg.source_up.values.any()
 
 
-def test_torus_background_source_constant():
+def test_torus_background_max_normalized():
     dom = vl.DomainSpec.torus(2 * np.pi, 2 * np.pi)
     grid = vl.Grid2D.periodic(dom.l1, dom.l2, 32, 32)
     vs = vl.VortexSet(up=((1.0, 1.0, 2),), down=((2.0, 3.0, 1),))
     bg = torus_background(vs, dom, grid)
     assert np.all(bg.exp_u0_up.values <= 1.0)
     assert np.max(bg.exp_u0_up.values) == 1.0  # max-normalized
-    assert bg.source_up.values == pytest.approx(4 * np.pi * 2 / dom.area)
-    assert bg.source_down.values == pytest.approx(4 * np.pi * 1 / dom.area)
+    assert np.max(bg.exp_u0_down.values) == 1.0
 
 
 def test_torus_vortex_winding_charge(green):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 import math
 
@@ -9,6 +10,7 @@ import vortexlab as vl
 from vortexlab import cli
 from vortexlab.errors import ExponentOverflow
 from vortexlab.reporting import dumps_canonical, format_float, read_fld, write_fld
+from vortexlab.solver import NewtonStep
 
 
 TORUS_L = 2 * math.pi
@@ -130,11 +132,25 @@ def test_solve_deterministic_and_rerunnable(tmp_path):
     assert (out / "report.json").read_bytes() == first
 
 
+def field_names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+def assert_report_schema(report):
+    expected = {"flux_expected", "physical_flux_expected", "energy_expected"}
+    assert set(report["diagnostics"]) == field_names(vl.DiagnosticsReport) | expected
+    assert report["solve"]["history"]
+    for step in report["solve"]["history"]:
+        assert set(step) == field_names(NewtonStep)
+
+
 def test_solve_report_content(tmp_path):
     cfg = torus_config()
     path = write_config(tmp_path, cfg)
     assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
+    assert_report_schema(report)
+    assert set(report["admissibility"]) == field_names(vl.AdmissibilityReport)
     diag = report["diagnostics"]
     assert diag["flux1"] == pytest.approx(-math.pi, rel=5e-3)
     assert diag["flux2"] == pytest.approx(-math.pi, rel=5e-3)
@@ -143,6 +159,24 @@ def test_solve_report_content(tmp_path):
     assert diag["eta1_measured"] == pytest.approx(report["admissibility"]["eta1"], rel=5e-3)
     assert report["solve"]["final_residual"] <= report["config"]["tol_residual"]
     assert report["admissibility"]["feasible"] is True
+
+
+def test_solve_report_content_plane(tmp_path):
+    cfg = {
+        "p": 1.0,
+        "q": 2.0,
+        "domain": {"kind": "plane"},
+        "grid": {"nx": 64, "ny": 64},
+        "vortices": {"up": [[0.0, 0.0, 1]]},
+    }
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert_report_schema(report)
+    assert report["admissibility"] is None
+    diag = report["diagnostics"]
+    assert diag["flux_expected"] == pytest.approx([-math.pi, 0.0])
+    assert diag["eta1_measured"] is None and diag["eta2_measured"] is None
 
 
 def test_fld_format_and_round_trip(tmp_path):
@@ -257,11 +291,16 @@ def test_canonical_json_float_formatting():
     assert json.loads(text)["a"] == 0.1
 
 
-def test_fld_write_read_exact(tmp_path, rng):
-    grid = vl.Grid2D.dirichlet(3.0, 8, 8)
+@pytest.mark.parametrize(
+    "grid",
+    [vl.Grid2D.periodic(2 * math.pi, 3 * math.pi, 8, 16), vl.Grid2D.dirichlet(3.0, 8, 8)],
+    ids=["periodic", "dirichlet"],
+)
+def test_fld_write_read_exact(tmp_path, rng, grid):
     field = vl.ScalarField(grid, rng.normal(size=grid.shape))
     write_fld(tmp_path / "f.fld", field)
-    back = read_fld(tmp_path / "f.fld")
+    back = read_fld(tmp_path / "f.fld", kind=grid.kind)
+    assert back.grid == field.grid
     assert np.array_equal(back.values, field.values)
 
 

@@ -24,7 +24,7 @@ def torus_case():
 def test_vacuum_flux_is_exactly_zero():
     cfg, bg = small_plane_setup(n=32, with_vortex=False)
     sol = vl.newton_solve(cfg, bg)
-    f1, f2 = vl.flux_report(sol, cfg.coupling, cfg.vortices, cfg.domain)
+    f1, f2 = vl.flux_report(sol)
     assert f1 == 0.0 and f2 == 0.0
     assert vl.energy_report(sol) == 0.0
 
@@ -32,10 +32,10 @@ def test_vacuum_flux_is_exactly_zero():
 def test_torus_flux_eta_energy(torus_case):
     cfg, sol = torus_case
     k = cfg.coupling
-    f1, f2 = vl.flux_report(sol, k, cfg.vortices, cfg.domain)
+    f1, f2 = vl.flux_report(sol)
     assert abs(f1 + math.pi) < 0.005 * math.pi
     assert abs(f2 + math.pi) < 0.005 * math.pi
-    eta1, eta2 = vl.eta_report(sol, sol.background, k, cfg.domain)
+    eta1, eta2 = vl.eta_report(sol)
     rep = vl.check_admissibility(k, 1, 1, cfg.domain.area)
     assert abs(eta1 - rep.eta1) < 0.005 * rep.eta1
     assert abs(eta2 - rep.eta2) < 0.005 * rep.eta2
@@ -47,7 +47,7 @@ def test_eta_requires_torus():
     cfg, bg = small_plane_setup(n=16, with_vortex=False)
     sol = vl.newton_solve(cfg, bg)
     with pytest.raises(WrongDomainKind):
-        vl.eta_report(sol, bg, cfg.coupling, cfg.domain)
+        vl.eta_report(sol)
 
 
 def test_decay_fitter_self_test():
@@ -98,7 +98,7 @@ def test_field_maps_flux_consistency(torus_case):
     cfg, sol = torus_case
     params = vl.PhysicalParams(1.0, 2.0)
     maps = vl.field_maps(sol, params)
-    f1, _ = vl.flux_report(sol, cfg.coupling, cfg.vortices, cfg.domain)
+    f1, _ = vl.flux_report(sol)
     b12_integral = vl.integrate(maps["B12"])
     assert b12_integral == pytest.approx(2.0 * params.p * f1, rel=1e-12)
     assert b12_integral == pytest.approx(-2 * math.pi * params.p * 1, rel=5e-3)
@@ -123,7 +123,7 @@ def test_field_maps_value_at_on_node_vortex():
 
 def test_residual_norm_detects_perturbations(torus_case):
     cfg, sol = torus_case
-    assert vl.residual_norm(sol, cfg, sol.background) <= 1e-8
+    assert vl.residual_norm(sol) <= 1e-8
     rng = np.random.default_rng(5)
     noisy_state = vl.State(
         vl.ScalarField(cfg.grid, sol.state.w1.values + 1e-3 * rng.normal(size=cfg.grid.shape)),
@@ -135,13 +135,13 @@ def test_residual_norm_detects_perturbations(torus_case):
         final_residual=sol.final_residual, functional_value=sol.functional_value,
         history=sol.history, config=cfg, background=sol.background,
     )
-    assert vl.residual_norm(noisy, cfg, sol.background) >= 1e-4
+    assert vl.residual_norm(noisy) >= 1e-4
 
 
 def test_residual_norm_vacuum():
     cfg, bg = small_plane_setup(n=32, with_vortex=False)
     sol = vl.newton_solve(cfg, bg)
-    assert vl.residual_norm(sol, cfg, bg) <= 1e-13
+    assert vl.residual_norm(sol) <= 1e-13
 
 
 def test_plane_flux_refinement_monotone():
@@ -153,7 +153,7 @@ def test_plane_flux_refinement_monotone():
         cfg = vl.SolveConfig(coupling=k, vortices=vs, domain=dom,
                              grid=vl.Grid2D.dirichlet(9.0, n, n))
         sol = vl.newton_solve(cfg)
-        f1, _ = vl.flux_report(sol, k, vs, dom)
+        f1, _ = vl.flux_report(sol)
         errors.append(abs(f1 + math.pi))
     assert errors[0] > errors[1] > errors[2]
 
@@ -168,7 +168,7 @@ def test_decay_bound_other_coupling():
         grid=vl.Grid2D.dirichlet(r_half, 192, 192),
     )
     sol = vl.newton_solve(cfg)
-    fit = vl.decay_fit(sol, k, cfg.domain)
+    fit = vl.decay_fit(sol)
     bound = 0.8 * math.sqrt(k.lambda0)
     sharp = 2.0 * math.sqrt(2.0 * min(k.lambda1, k.lambda2))
     assert fit.rate >= bound
@@ -186,7 +186,7 @@ def test_decay_bound_q_over_p_large():
         grid=vl.Grid2D.dirichlet(r_half, 192, 192),
     )
     sol = vl.newton_solve(cfg)
-    fit = vl.decay_fit(sol, k, cfg.domain)
+    fit = vl.decay_fit(sol)
     bound = 0.8 * math.sqrt(k.lambda0)
     assert fit.rate >= bound
     assert fit.gradient_rate >= bound
@@ -201,7 +201,7 @@ def test_decay_rate_sharpness_reference():
         grid=vl.Grid2D.dirichlet(9.0, 192, 192),
     )
     sol = vl.newton_solve(cfg)
-    fit = vl.decay_fit(sol, k, cfg.domain)
+    fit = vl.decay_fit(sol)
     sharp = 2.0 * math.sqrt(2.0 * min(k.lambda1, k.lambda2))
     assert abs(fit.rate - sharp) <= 0.15 * sharp
 
@@ -215,13 +215,13 @@ def test_decay_fit_requires_decayed_window():
     )
     sol = vl.newton_solve(cfg)
     with pytest.raises(InsufficientDecayWindow):
-        vl.decay_fit(sol, k, cfg.domain)
+        vl.decay_fit(sol)
 
 
 def test_decay_fit_requires_plane(torus_case):
     cfg, sol = torus_case
     with pytest.raises(WrongDomainKind):
-        vl.decay_fit(sol, cfg.coupling, cfg.domain)
+        vl.decay_fit(sol)
 
 
 def test_build_report_torus(torus_case):

@@ -376,7 +376,7 @@ def test_higher_multiplicity_vortex():
         grid=vl.Grid2D.periodic(l, l, 64, 64),
     )
     sol = vl.newton_solve(cfg)
-    f1, f2 = vl.flux_report(sol, k, vs, cfg.domain)
+    f1, f2 = vl.flux_report(sol)
     assert abs(f1 + 2 * math.pi) < 1e-12
     assert abs(f2 + math.pi) < 1e-12
     assert abs(vl.energy_report(sol) + 1.5 * math.pi) < 1e-12
@@ -391,9 +391,9 @@ def test_rectangular_cell():
         grid=vl.Grid2D.periodic(dom.l1, dom.l2, 64, 64),
     )
     sol = vl.newton_solve(cfg)
-    f1, f2 = vl.flux_report(sol, k, vs, dom)
+    f1, f2 = vl.flux_report(sol)
     assert abs(f1 + math.pi) < 1e-12 and abs(f2 + math.pi) < 1e-12
-    eta1, eta2 = vl.eta_report(sol, sol.background, k, dom)
+    eta1, eta2 = vl.eta_report(sol)
     rep = vl.check_admissibility(k, 1, 1, dom.area)
     assert eta1 == pytest.approx(rep.eta1, abs=1e-12)
     assert eta2 == pytest.approx(rep.eta2, abs=1e-12)
