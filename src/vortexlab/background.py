@@ -7,14 +7,22 @@ On the plane the background is mu-regularized and fully explicit:
 
 On the torus u0 is assembled from the doubly periodic Green's function with
 Delta G = delta_0 - 1/|Omega|, realized in closed form through the first
-Jacobi theta function.  Backgrounds are carried as exp(u0) so that vortex
-points hold exact zeros instead of -inf.
+Jacobi theta function.  Its series is summed in separable form,
+
+    sin((2n+1)(a+ib)) = sin((2n+1)a) cosh((2n+1)b) + i cos((2n+1)a) sinh((2n+1)b),
+
+a = pi x/L1, b = pi y/L1: on a grid each vortex costs a row of x factors, a
+column of y factors, one product per node and term and one log|theta1| per
+node.  The coefficient q^((n+1/2)^2) is carried in the exponent of the
+cosh/sinh factors, exp((2n+1)|b| + (n+1/2)^2 ln q), so tall cells, where it
+underflows and cosh overflows, stay finite.  Backgrounds are carried as
+exp(u0) so that vortex points hold exact zeros instead of -inf.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,24 +35,16 @@ from .model import DomainSpec, VortexSet
 class BackgroundData:
     """exp(u0) for both species, on the solver grid.
 
-    On the plane ``log_up``/``log_down`` hold u0 itself (with -inf where a
-    vortex sits exactly on a node); on the torus they are None.
+    u0 itself is not stored: the plane solver needs it only on the boundary
+    ring, where it evaluates ``plane_log_u0`` directly.
     """
 
     exp_u0_up: ScalarField
     exp_u0_down: ScalarField
     mu: float | None = None
-    log_up: np.ndarray | None = field(default=None, repr=False)
-    log_down: np.ndarray | None = field(default=None, repr=False)
 
     def swapped(self) -> "BackgroundData":
-        return BackgroundData(
-            exp_u0_up=self.exp_u0_down,
-            exp_u0_down=self.exp_u0_up,
-            mu=self.mu,
-            log_up=self.log_down,
-            log_down=self.log_up,
-        )
+        return BackgroundData(exp_u0_up=self.exp_u0_down, exp_u0_down=self.exp_u0_up, mu=self.mu)
 
 
 def default_mu(vortices: VortexSet) -> float:
@@ -88,7 +88,7 @@ def _plane_species(vortices, mu, xg, yg):
         d2 = (xg - px) ** 2 + (yg - py) ** 2
         # product form keeps exact zeros on nodes hit by a vortex
         exp_u0 *= (d2 / (mu + d2)) ** m
-    return exp_u0, plane_log_u0(vortices, mu, xg, yg)
+    return exp_u0
 
 
 def plane_background(vortices: VortexSet, mu: float, grid: Grid2D) -> BackgroundData:
@@ -96,14 +96,10 @@ def plane_background(vortices: VortexSet, mu: float, grid: Grid2D) -> Background
     if mu <= 0:
         raise NonPositiveMu(f"mu must be positive, got {mu}")
     xg, yg = grid.meshgrid()
-    exp_up, log_up = _plane_species(vortices.up, mu, xg, yg)
-    exp_dn, log_dn = _plane_species(vortices.down, mu, xg, yg)
     return BackgroundData(
-        exp_u0_up=ScalarField(grid, exp_up),
-        exp_u0_down=ScalarField(grid, exp_dn),
+        exp_u0_up=ScalarField(grid, _plane_species(vortices.up, mu, xg, yg)),
+        exp_u0_down=ScalarField(grid, _plane_species(vortices.down, mu, xg, yg)),
         mu=mu,
-        log_up=log_up,
-        log_down=log_dn,
     )
 
 
@@ -133,16 +129,34 @@ class TorusGreenEvaluator:
         return x, y
 
     def _log_abs_theta1_reduced(self, x, y) -> np.ndarray:
-        u = (np.pi / self.l1) * (x + 1j * y)
-        theta = np.zeros_like(u)
-        sign = 1.0
+        """ln|theta1(pi(x+iy)/L1; q)| on reduced coordinates.
+
+        Summed in the separable form of the module docstring.  x and y
+        broadcast: a row of x of shape (1, nx) against a column of y of
+        shape (ny, 1) gives the grid from 1-D factors.
+        """
+        a = (np.pi / self.l1) * x
+        b = (np.pi / self.l1) * y
+        abs_b = np.abs(b)
+        log_nome = math.log(self.nome)
+        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+        re = np.zeros(shape)
+        im = np.zeros(shape)
+        term = np.empty(shape)
         for n in range(self.series_terms):
+            k = 2 * n + 1
             half = n + 0.5
-            theta += sign * self.nome ** (half * half) * np.sin((2 * n + 1) * u)
-            sign = -sign
-        theta *= 2.0
+            # twice the coefficient times e^{k|b|}/2: theta1 carries a factor 2
+            big = np.exp(k * abs_b + half * half * log_nome)
+            if n % 2:
+                big = -big
+            # 1 - e^{-2k|b|} through expm1: sinh keeps its relative accuracy near b = 0
+            cosh_q = big * (1.0 + np.exp(-2.0 * k * abs_b))
+            sinh_q = big * np.copysign(-np.expm1(-2.0 * k * abs_b), b)
+            re += np.multiply(np.sin(k * a), cosh_q, out=term)
+            im += np.multiply(np.cos(k * a), sinh_q, out=term)
         with np.errstate(divide="ignore"):
-            return np.log(np.abs(theta))
+            return np.log(np.hypot(re, im))
 
     def greens(self, x, y) -> np.ndarray:
         x, y = self._reduced(x, y)
@@ -163,11 +177,12 @@ def torus_green(domain: DomainSpec, series_terms: int | None = None) -> TorusGre
     return TorusGreenEvaluator(l1=domain.l1, l2=domain.l2, nome=nome, series_terms=series_terms)
 
 
-def _torus_species(vortices, green: TorusGreenEvaluator, xg, yg):
+def _torus_species(vortices, green: TorusGreenEvaluator, grid: Grid2D):
     """Accumulate u0' = sum_j 4 pi m_j G(x - p_j), max-normalized, as exp(u0')."""
-    log_u0 = np.zeros_like(xg)
+    log_u0 = np.zeros(grid.shape)
     for px, py, m in vortices:
-        log_u0 += 4.0 * np.pi * m * green.greens(xg - px, yg - py)
+        # a row of x offsets against a column of y offsets: the separable series
+        log_u0 += 4.0 * np.pi * m * green.greens(grid.xs[None, :] - px, grid.ys[:, None] - py)
     # Aubin's function is unique up to a constant; pin max u0 = 0
     log_u0 -= np.max(log_u0)
     return np.exp(log_u0)
@@ -177,12 +192,9 @@ def torus_background(vortices: VortexSet, domain: DomainSpec, grid: Grid2D) -> B
     """Green's-function background: Delta u0 = -4 pi N/|Omega| + 4 pi sum delta."""
     domain.require_torus()
     green = torus_green(domain)
-    xg, yg = grid.meshgrid()
-    exp_up = _torus_species(vortices.up, green, xg, yg)
-    exp_dn = _torus_species(vortices.down, green, xg, yg)
     return BackgroundData(
-        exp_u0_up=ScalarField(grid, exp_up),
-        exp_u0_down=ScalarField(grid, exp_dn),
+        exp_u0_up=ScalarField(grid, _torus_species(vortices.up, green, grid)),
+        exp_u0_down=ScalarField(grid, _torus_species(vortices.down, green, grid)),
         mu=None,
     )
 

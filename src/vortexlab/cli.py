@@ -9,7 +9,7 @@ fully resolved configuration; pointing --config at a report reruns it and
 reproduces the outputs byte for byte.
 
 Exit codes: 0 success, 1 malformed/invalid config, 2 infeasible domain,
-3 solver non-convergence.
+3 solver failure (non-convergence, or an error raised inside the solver).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .errors import (
     MaxIterationsExceeded,
     ConvergenceFailure,
     NotRadiallyReducible,
+    SolverError,
     VortexLabError,
 )
 from .model import (
@@ -276,9 +277,17 @@ def _emit_profiles(out_dir: Path, cfg, sol) -> None:
     write_radial_profile(out_dir / "radial_profile.csv", radii, u1, u2, dev1 + dev2)
 
 
+def _solve(cfg: SolveConfig):
+    """newton_solve on a validated config: a ValueError from it is the solver's."""
+    try:
+        return newton_solve(cfg)
+    except ValueError as exc:
+        raise SolverError(f"{type(exc).__name__} raised in the solver: {exc}") from exc
+
+
 def run_solve(resolved: dict, out_dir: Path) -> int:
     params, cfg = _build_problem(resolved)
-    sol = newton_solve(cfg)
+    sol = _solve(cfg)
     report = _solution_report(resolved, params, cfg, sol)
     write_json(out_dir / "report.json", report)
     if resolved["emit_fields"]:
@@ -300,7 +309,7 @@ def run_oracle_compare(resolved: dict, out_dir: Path) -> int:
                 f"vortex at ({x}, {y}) is off the origin; no radial reduction"
             )
     n1, n2 = cfg.vortices.n1, cfg.vortices.n2
-    sol = newton_solve(cfg)
+    sol = _solve(cfg)
 
     k = cfg.coupling
     r_half = cfg.domain.half_width
@@ -385,6 +394,9 @@ def main(argv=None) -> int:
         return 2
     except (MaxIterationsExceeded, LineSearchStalled, ConvergenceFailure, ExponentOverflow) as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
+        return 3
+    except SolverError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, NotRadiallyReducible, VortexLabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,6 +49,10 @@ class LineSearchStalled(VortexLabError):
     """Backtracking reduced the step below 1e-14 without sufficient decrease."""
 
 
+class SolverError(VortexLabError):
+    """The solver raised a bare ValueError on a config that passed validation."""
+
+
 class ConvergenceFailure(VortexLabError):
     """The 1D radial solver failed to converge."""
 

@@ -84,11 +84,11 @@ def write_fld(path: Path, field: ScalarField) -> None:
         f.write(f"{grid.nx} {grid.ny}\n")
         f.write(f"{format_float(grid.x0)} {format_float(grid.y0)} "
                 f"{format_float(grid.hx)} {format_float(grid.hy)}\n")
-        # row by row, as Python floats: the bytes of format_float per value
-        # without its per-value checks, and one row of strings alive at a time
+        # one format call per row, on Python floats: the bytes of format_float
+        # per value without its per-value checks, and one row string at a time
+        row_format = (_FLOAT_FORMAT + "\n") * grid.nx
         for row in values:
-            f.write("\n".join(map(_FLOAT_FORMAT.__mod__, row.tolist())))
-            f.write("\n")
+            f.write(row_format % tuple(row.tolist()))
 
 
 def read_fld(path: Path, kind: GridKind) -> ScalarField:

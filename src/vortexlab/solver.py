@@ -37,6 +37,13 @@ solve on the plane (see ``discretization``).  That inverse is exact, so
 the recurrence q <- (r - s z) + beta q of the search direction p.  The
 Hessian action is then q + A p with the pointwise multipliers A: an
 iteration costs two preconditioner solves and no Laplacian.
+
+Outside CG a Newton step applies two Laplacians for the gradient, -Lap w,
+and on the torus two more for the direction, -Lap d, whatever the number of
+Armijo trials.  -Lap w also gives the torus quadratic part
+Q(w) = da/2 <w, -Lap w>, and since -Lap is symmetric
+Q(w + a d) = Q(w) + a da <w, -Lap d> + a^2 da/2 <d, -Lap d>: a trial needs
+three scalars, and no Laplacian array outlives the scalars taken from it.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ from .background import (
     BackgroundData,
     build_background,
     default_mu,
+    plane_log_u0,
     plane_log_u0_shift,
     plane_source,
 )
@@ -221,8 +229,8 @@ class _Problem:
             tv1 = np.zeros(self.grid.shape)
             tv2 = np.zeros(self.grid.shape)
             for ring in (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1]):
-                tv1[ring] = -bg.log_up[ring]
-                tv2[ring] = -bg.log_down[ring]
+                tv1[ring] = -plane_log_u0(cfg.vortices.up, mu, xg[ring], yg[ring])
+                tv2[ring] = -plane_log_u0(cfg.vortices.down, mu, xg[ring], yg[ring])
             self.boundary_w1, self.boundary_w2 = choleski_forward_values(tv1, tv2, k)
 
     # -- helpers --------------------------------------------------------------
@@ -262,14 +270,22 @@ class _Problem:
 
     # -- functional, gradient, Hessian ----------------------------------------
 
-    def value(self, w1, w2) -> float:
-        e1, e2 = self.exponentials(w1, w2)
+    def neg_laplacian(self, v1, v2) -> tuple[np.ndarray, np.ndarray]:
+        return -laplacian_values(self.grid, v1), -laplacian_values(self.grid, v2)
+
+    def torus_quadratic(self, w1, w2, nlap=None) -> float:
+        """da/2 <w, -Lap w>, the quadratic part of the torus functional."""
+        if nlap is None:
+            nlap = self.neg_laplacian(w1, w2)
+        return 0.5 * self.grid.cell_area * _dot(w1, w2, *nlap)
+
+    def value(self, w1, w2, exps=None, quad=None) -> float:
+        """Functional at w; on the torus ``quad`` may supply its quadratic part."""
+        e1, e2 = exps if exps is not None else self.exponentials(w1, w2)
         da = self.grid.cell_area
         if self.torus:
-            quad = 0.5 * da * float(
-                np.sum(w1 * -laplacian_values(self.grid, w1))
-                + np.sum(w2 * -laplacian_values(self.grid, w2))
-            )
+            if quad is None:
+                quad = self.torus_quadratic(w1, w2)
             rest = da * float(
                 np.sum(self.coef_value * (e1 + e2) - self.c1 * w1 - self.c2 * w2)
             )
@@ -281,10 +297,13 @@ class _Problem:
         )
         return quad + rest
 
-    def gradient(self, w1, w2, exps=None) -> tuple[np.ndarray, np.ndarray]:
+    def gradient(self, w1, w2, exps=None, nlap=None) -> tuple[np.ndarray, np.ndarray]:
+        """L2 gradient at w; ``nlap`` may supply -Laplacian(w)."""
         e1, e2 = exps if exps is not None else self.exponentials(w1, w2)
-        g1 = -laplacian_values(self.grid, w1) + self.coef_g1_e1 * e1 + self.coef_g1_e2 * e2
-        g2 = -laplacian_values(self.grid, w2) + self.factor * e2
+        if nlap is None:
+            nlap = self.neg_laplacian(w1, w2)
+        g1 = nlap[0] + self.coef_g1_e1 * e1 + self.coef_g1_e2 * e2
+        g2 = nlap[1] + self.factor * e2
         if self.torus:
             g1 -= self.c1
             g2 -= self.c2
@@ -382,6 +401,23 @@ def _advance(p, q, r, z, beta, shift) -> None:
     q -= z
 
 
+def _quad_along(problem: _Problem, quad0, w1, w2, d1, d2):
+    """alpha -> quadratic part of the torus functional at w + alpha d.
+
+    -Lap is symmetric, so it is quad0 + alpha cross + alpha^2 curv with
+    cross = da <w, -Lap d> and curv = da <d, -Lap d>/2: one Laplacian per
+    component of d, only two scalars kept, and no Laplacian in the Armijo
+    trials.  On the plane the value has no such part to pass: None.
+    """
+    if not problem.torus:
+        return lambda alpha: None
+    nlap1, nlap2 = problem.neg_laplacian(d1, d2)
+    da = problem.grid.cell_area
+    cross = da * _dot(w1, w2, nlap1, nlap2)
+    curv = 0.5 * da * _dot(d1, d2, nlap1, nlap2)
+    return lambda alpha: quad0 + alpha * cross + alpha * alpha * curv
+
+
 def _canonical_orientation(cfg: SolveConfig) -> bool:
     """True if the species must be swapped to reach the canonical order."""
     key = (cfg.vortices.up, cfg.vortices.down)
@@ -404,9 +440,13 @@ def _solve_canonical(cfg: SolveConfig, bg: BackgroundData, initial_state: State 
     converged = False
     for it in range(cfg.max_newton + 1):
         exps = problem.exponentials(w1, w2)
-        g1, g2 = problem.gradient(w1, w2, exps=exps)
+        nlap = problem.neg_laplacian(w1, w2)
+        g1, g2 = problem.gradient(w1, w2, exps=exps, nlap=nlap)
+        # on the torus the value takes its quadratic part from the same -Lap w
+        quad = problem.torus_quadratic(w1, w2, nlap) if problem.torus else None
+        del nlap
         residual = float(max(np.max(np.abs(g1)), np.max(np.abs(g2))))
-        value = problem.value(w1, w2)
+        value = problem.value(w1, w2, exps=exps, quad=quad)
         if residual <= cfg.tol_residual:
             history.append(NewtonStep(it, residual, value, 0.0, 0))
             converged = True
@@ -429,10 +469,11 @@ def _solve_canonical(cfg: SolveConfig, bg: BackgroundData, initial_state: State 
         # the sufficient-decrease test spuriously fails once the predicted
         # decrease drops below ~eps*|I|
         noise = 16.0 * np.finfo(float).eps * (abs(value) + 1.0)
+        quad_at = _quad_along(problem, quad, w1, w2, d1, d2)
         alpha = 1.0
         while True:
             try:
-                trial = problem.value(w1 + alpha * d1, w2 + alpha * d2)
+                trial = problem.value(w1 + alpha * d1, w2 + alpha * d2, quad=quad_at(alpha))
             except ExponentOverflow:
                 trial = math.inf
             if trial <= value + cfg.armijo_c * alpha * slope + noise:
@@ -534,8 +575,7 @@ def hessian_matvec(state: State, direction: tuple[ScalarField, ScalarField],
     exps = problem.exponentials(state.w1.values, state.w2.values)
     mult = problem.hessian_multipliers(*exps)
     d1, d2 = direction[0].values, direction[1].values
-    nlap1 = -laplacian_values(cfg.grid, d1)
-    nlap2 = -laplacian_values(cfg.grid, d2)
+    nlap1, nlap2 = problem.neg_laplacian(d1, d2)
     h1, h2 = problem.hess_mv(mult, d1, d2, nlap1, nlap2, out=(np.empty_like(d1), np.empty_like(d2)))
     return ScalarField(cfg.grid, h1), ScalarField(cfg.grid, h2)
 

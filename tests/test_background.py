@@ -142,6 +142,49 @@ def test_green_laplacian_mean(green):
     assert np.max(np.abs(lap[far] - target)) < 1e-6 * abs(target)
 
 
+def _complex_series_greens(green, x, y):
+    """Reference G: the theta1 series summed term by term with complex sin."""
+    x = x - green.l1 * np.round(x / green.l1)
+    y = y - green.l2 * np.round(y / green.l2)
+    u = (np.pi / green.l1) * (x + 1j * y)
+    theta = sum(
+        (-1) ** n * green.nome ** ((n + 0.5) ** 2) * np.sin((2 * n + 1) * u)
+        for n in range(green.series_terms)
+    )
+    return np.log(np.abs(2.0 * theta)) / (2 * np.pi) - y**2 / (2 * green.l1 * green.l2)
+
+
+def test_green_matches_complex_series(green, rng):
+    x = rng.uniform(-10, 10, 200)
+    y = rng.uniform(-10, 10, 200)
+    assert np.max(np.abs(green.greens(x, y) - _complex_series_greens(green, x, y))) < 1e-13
+
+
+def test_green_separable_matches_meshgrid(green):
+    # a row of x offsets against a column of y offsets gives the full grid
+    grid = vl.Grid2D.periodic(green.l1, green.l2, 64, 32)
+    xg, yg = grid.meshgrid()
+    px, py = 1.3, 4.6
+    full = green.greens(xg - px, yg - py)
+    separable = green.greens(grid.xs[None, :] - px, grid.ys[:, None] - py)
+    assert separable.shape == grid.shape
+    assert np.max(np.abs(separable - full)) < 1e-14
+
+
+def test_green_tall_cell_finite_and_periodic():
+    # L2/L1 = 40: nome^((n+1/2)^2) underflows where cosh((2n+1)b) overflows
+    green = vl.torus_green(vl.DomainSpec.torus(1.0, 40.0))
+    grid = vl.Grid2D.periodic(1.0, 40.0, 64, 64)
+    xg, yg = grid.meshgrid()
+    x, y = xg - 0.3, yg - 7.1
+    base = green.greens(x, y)
+    assert np.all(np.isfinite(base))
+    assert np.max(np.abs(green.greens(x + green.l1, y) - base)) < 1e-10
+    assert np.max(np.abs(green.greens(x, y + green.l2) - base)) < 1e-10
+    bg = torus_background(vl.VortexSet(up=((0.3, 7.1, 1),)), vl.DomainSpec.torus(1.0, 40.0), grid)
+    assert np.all(np.isfinite(bg.exp_u0_up.values))
+
+
 def test_green_requires_torus():
     with pytest.raises(WrongDomainKind):
         vl.torus_green(vl.DomainSpec.plane(3.0))
@@ -196,6 +239,18 @@ def test_torus_background_translation_equivariance():
     a = torus_background(vs, dom, grid).exp_u0_up.values
     b = torus_background(vs_shifted, dom, grid).exp_u0_up.values
     assert np.max(np.abs(np.roll(a, 32, axis=1) - b)) < 1e-9
+
+
+def test_torus_background_matches_complex_series():
+    dom = vl.DomainSpec.torus(2 * np.pi, 2 * np.pi)
+    grid = vl.Grid2D.periodic(dom.l1, dom.l2, 64, 64)
+    vs = vl.VortexSet(up=((1.3, 2.1, 1), (4.0, 5.0, 2)))
+    green = vl.torus_green(dom)
+    xg, yg = grid.meshgrid()
+    log_u0 = sum(4 * np.pi * m * _complex_series_greens(green, xg - x, yg - y) for x, y, m in vs.up)
+    expected = np.exp(log_u0 - np.max(log_u0))
+    bg = torus_background(vs, dom, grid)
+    assert np.max(np.abs(bg.exp_u0_up.values - expected)) < 1e-13
 
 
 def test_torus_background_exact_zero_on_node():

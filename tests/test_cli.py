@@ -117,6 +117,35 @@ def test_solve_exponent_overflow_exit_3(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("non-convergence:")
 
 
+@pytest.mark.parametrize("mode", ["solve", "oracle-compare"])
+def test_solver_value_error_exit_3(tmp_path, monkeypatch, capsys, mode):
+    # a ValueError from newton_solve comes after the config passed validation
+    def fail(cfg):
+        raise ValueError("non-finite values in ScalarField")
+
+    monkeypatch.setattr(cli, "newton_solve", fail)
+    cfg = torus_config() if mode == "solve" else {
+        "p": 1.0, "q": 2.0, "domain": {"kind": "plane", "R": 9.0},
+        "grid": {"nx": 33, "ny": 33}, "vortices": {"up": [[0.0, 0.0, 1]]},
+    }
+    path = write_config(tmp_path, cfg)
+    assert cli.main([mode, "--config", str(path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error:")
+    assert "ValueError" in err and "non-finite values in ScalarField" in err
+
+
+def test_config_value_error_exit_1(tmp_path, monkeypatch, capsys):
+    # SolveConfig rejects the backtracking factor before any solve starts
+    def unreachable(cfg):
+        raise AssertionError("newton_solve must not run on an invalid config")
+
+    monkeypatch.setattr(cli, "newton_solve", unreachable)
+    path = write_config(tmp_path, torus_config(armijo_backtrack=1.5))
+    assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert "backtracking factor" in capsys.readouterr().err
+
+
 def test_solve_deterministic_and_rerunnable(tmp_path):
     cfg = torus_config(emit_fields=True)
     path = write_config(tmp_path, cfg)

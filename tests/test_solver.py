@@ -195,6 +195,52 @@ def test_pcg_transform_count(make_cfg, monkeypatch):
     assert counts["precond"] == 2 * cg_iterations
 
 
+def test_torus_line_search_applies_no_laplacian(monkeypatch):
+    # a 20 x 20 cell: the first Newton step from w = 0 backtracks
+    l = 20.0
+    cfg = vl.SolveConfig(
+        coupling=vl.coupling_from_pq(1.0, 2.0),
+        vortices=vl.VortexSet(up=((6.0, 6.0, 2),), down=((14.0, 12.0, 1),)),
+        domain=vl.DomainSpec.torus(l, l),
+        grid=vl.Grid2D.periodic(l, l, 32, 32),
+    )
+    bg = vl.build_background(cfg.vortices, cfg.domain, cfg.grid)
+    counts = {"laplacian": 0, "value": 0}
+    laplacian, value = solver.laplacian_values, solver._Problem.value
+
+    def counted_laplacian(*args):
+        counts["laplacian"] += 1
+        return laplacian(*args)
+
+    def counted_value(*args, **kwargs):
+        counts["value"] += 1
+        return value(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "laplacian_values", counted_laplacian)
+        m.setattr(solver._Problem, "value", counted_value)
+        sol = vl.newton_solve(cfg, bg)
+    iterates = len(sol.history)
+    steps = iterates - 1
+    trials = counts["value"] - iterates
+    assert any(step.step_size < 1.0 for step in sol.history[:-1])
+    assert trials > steps
+    # two Laplacians per iterate (-Lap w) and two per step (-Lap d), however
+    # many Armijo trials the steps took
+    assert counts["laplacian"] == 2 * iterates + 2 * steps
+
+    # each trial's quadratic part, expanded in alpha, is the direct value
+    problem = solver._Problem(cfg, bg)
+    rng = np.random.default_rng(7)
+    w1, w2, d1, d2 = (rng.uniform(-0.4, 0.4, cfg.grid.shape) for _ in range(4))
+    quad_at = solver._quad_along(problem, problem.torus_quadratic(w1, w2), w1, w2, d1, d2)
+    for alpha in (1.0, 0.25, 2.0**-6):
+        t1, t2 = w1 + alpha * d1, w2 + alpha * d2
+        assert problem.value(t1, t2, quad=quad_at(alpha)) == pytest.approx(
+            problem.value(t1, t2), rel=1e-12
+        )
+
+
 # -- Newton solves ----------------------------------------------------------------
 
 def test_plane_vacuum_solves_exactly():
