@@ -164,17 +164,15 @@ class TorusGreenEvaluator:
         return log_theta / (2.0 * np.pi) - y**2 / (2.0 * self.l1 * self.l2)
 
 
-def torus_green(domain: DomainSpec, series_terms: int | None = None) -> TorusGreenEvaluator:
+def torus_green(domain: DomainSpec) -> TorusGreenEvaluator:
     domain.require_torus()
     nome = math.exp(-math.pi * domain.l2 / domain.l1)
-    if series_terms is None:
-        # worst case Im(u) = pi*L2/(2 L1): term n decays like nome^(n^2 - 1/4);
-        # stop once below 1e-16
-        n = 2
-        while nome ** (n * n - 0.25) > 1e-16 and n < 64:
-            n += 1
-        series_terms = max(8, n + 1)
-    return TorusGreenEvaluator(l1=domain.l1, l2=domain.l2, nome=nome, series_terms=series_terms)
+    # worst case Im(u) = pi*L2/(2 L1): term n decays like nome^(n^2 - 1/4);
+    # stop once below 1e-16
+    n = 2
+    while nome ** (n * n - 0.25) > 1e-16 and n < 64:
+        n += 1
+    return TorusGreenEvaluator(l1=domain.l1, l2=domain.l2, nome=nome, series_terms=n + 1)
 
 
 def _torus_species(vortices, green: TorusGreenEvaluator, grid: Grid2D):

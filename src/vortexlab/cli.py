@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -58,10 +58,15 @@ from .solver import (
 
 MODES = ("check", "solve", "oracle-compare")
 
+# tol_residual ... armijo_backtrack: the config keys that pass straight
+# through to SolveConfig, with its defaults
+_SOLVER_DEFAULTS = {
+    f.name: f.default for f in fields(SolveConfig) if f.default is not MISSING and f.name != "mu"
+}
+
 _TOP_KEYS = {
     "mode", "p", "q", "rho_bar", "domain", "grid", "vortices", "mu",
-    "tol_residual", "max_newton", "cg_tol", "cg_max_iter", "armijo_c",
-    "armijo_backtrack", "output_dir", "emit_fields", "emit_profiles",
+    *_SOLVER_DEFAULTS, "output_dir", "emit_fields", "emit_profiles",
     "oracle_mesh",
 }
 
@@ -181,12 +186,10 @@ def resolve_config(raw: dict, mode: str) -> dict:
             "down": [[x, y, m] for x, y, m in down],
         },
         "mu": mu,
-        "tol_residual": _as_number(raw.get("tol_residual", 1e-10), "tol_residual"),
-        "max_newton": _as_int(raw.get("max_newton", 50), "max_newton"),
-        "cg_tol": _as_number(raw.get("cg_tol", 1e-3), "cg_tol"),
-        "cg_max_iter": _as_int(raw.get("cg_max_iter", 400), "cg_max_iter"),
-        "armijo_c": _as_number(raw.get("armijo_c", 1e-4), "armijo_c"),
-        "armijo_backtrack": _as_number(raw.get("armijo_backtrack", 0.5), "armijo_backtrack"),
+        **{
+            key: (_as_int if isinstance(default, int) else _as_number)(raw.get(key, default), key)
+            for key, default in _SOLVER_DEFAULTS.items()
+        },
         "output_dir": raw.get("output_dir", "."),
         "emit_fields": _as_bool(raw.get("emit_fields", False), "emit_fields"),
         "emit_profiles": _as_bool(raw.get("emit_profiles", False), "emit_profiles"),
@@ -221,12 +224,7 @@ def _build_problem(resolved: dict):
         domain=domain,
         grid=grid,
         mu=resolved["mu"],
-        tol_residual=resolved["tol_residual"],
-        max_newton=resolved["max_newton"],
-        cg_tol=resolved["cg_tol"],
-        cg_max_iter=resolved["cg_max_iter"],
-        armijo_c=resolved["armijo_c"],
-        armijo_backtrack=resolved["armijo_backtrack"],
+        **{key: resolved[key] for key in _SOLVER_DEFAULTS},
     )
     return params, cfg
 

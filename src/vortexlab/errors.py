@@ -54,7 +54,8 @@ class SolverError(VortexLabError):
 
 
 class ConvergenceFailure(VortexLabError):
-    """The 1D radial solver failed to converge."""
+    """An iteration broke down: the 1D radial solver did not converge, or CG
+    met nonpositive curvature in the Newton Hessian."""
 
 
 class InsufficientDecayWindow(VortexLabError):

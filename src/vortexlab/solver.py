@@ -38,12 +38,16 @@ the recurrence q <- (r - s z) + beta q of the search direction p.  The
 Hessian action is then q + A p with the pointwise multipliers A: an
 iteration costs two preconditioner solves and no Laplacian.
 
-Outside CG a Newton step applies two Laplacians for the gradient, -Lap w,
-and on the torus two more for the direction, -Lap d, whatever the number of
-Armijo trials.  -Lap w also gives the torus quadratic part
-Q(w) = da/2 <w, -Lap w>, and since -Lap is symmetric
-Q(w + a d) = Q(w) + a da <w, -Lap d> + a^2 da/2 <d, -Lap d>: a trial needs
-three scalars, and no Laplacian array outlives the scalars taken from it.
+The Newton loop evaluates each quantity once per iterate.  An Armijo trial
+t = w + a d computes its exponentials, and the accepted trial, with them,
+is the next iterate.  The quadratic part Q of the functional is a symmetric
+form, so Q(w + a d) = Q(w) + a cross + a^2 curv: a trial needs three
+scalars and no Laplacian.  On the torus Q(w) = da/2 <w, -Lap w> comes from
+the -Lap w of the gradient, and cross = da <w, -Lap d>, curv = da/2
+<d, -Lap d> from one -Lap d per step; on the plane Q is the 5-point edge
+energy and cross, curv come from its bilinear form.  So a Newton step
+applies two Laplacians for the gradient and, on the torus only, two for the
+direction, whatever the number of Armijo trials.
 """
 
 from __future__ import annotations
@@ -205,7 +209,7 @@ class _Problem:
             self.lin1 = None
             self.lin2 = None
         else:
-            mu = bg.mu if bg.mu is not None else cfg.resolved_mu()
+            mu = bg.mu
             mu_star = default_mu(cfg.vortices)
             xg, yg = self.grid.meshgrid()
             # source anchored to the fixed reference split mu*: the shifted
@@ -236,19 +240,10 @@ class _Problem:
     # -- helpers --------------------------------------------------------------
 
     def initial_w(self) -> tuple[np.ndarray, np.ndarray]:
-        w1 = np.zeros(self.grid.shape)
-        w2 = np.zeros(self.grid.shape)
-        if not self.torus:
-            self._pin_boundary(w1, self.boundary_w1)
-            self._pin_boundary(w2, self.boundary_w2)
-        return w1, w2
-
-    @staticmethod
-    def _pin_boundary(w, data):
-        w[0, :] = data[0, :]
-        w[-1, :] = data[-1, :]
-        w[:, 0] = data[:, 0]
-        w[:, -1] = data[:, -1]
+        if self.torus:
+            return np.zeros(self.grid.shape), np.zeros(self.grid.shape)
+        # the ring data is zero inside the ring
+        return self.boundary_w1.copy(), self.boundary_w2.copy()
 
     @staticmethod
     def _zero_boundary(arr):
@@ -262,46 +257,57 @@ class _Problem:
             raise ExponentOverflow(f"exponent reached {peak:.3g}; iterate diverged")
         return self.a1 * np.exp(s1), self.a2 * np.exp(s2)
 
-    def _edge_energy(self, w) -> float:
-        gx = np.diff(w, axis=1)
-        gy = np.diff(w, axis=0)
+    def _edge_form(self, u, v) -> float:
+        """Half the 5-point edge bilinear form; at u = v = w, the edge energy of w."""
         hx, hy = self.grid.hx, self.grid.hy
-        return float(0.5 * hy / hx * np.sum(gx * gx) + 0.5 * hx / hy * np.sum(gy * gy))
+        return float(
+            0.5 * hy / hx * np.sum(np.diff(u, axis=1) * np.diff(v, axis=1))
+            + 0.5 * hx / hy * np.sum(np.diff(u, axis=0) * np.diff(v, axis=0))
+        )
 
     # -- functional, gradient, Hessian ----------------------------------------
 
     def neg_laplacian(self, v1, v2) -> tuple[np.ndarray, np.ndarray]:
         return -laplacian_values(self.grid, v1), -laplacian_values(self.grid, v2)
 
-    def torus_quadratic(self, w1, w2, nlap=None) -> float:
-        """da/2 <w, -Lap w>, the quadratic part of the torus functional."""
-        if nlap is None:
-            nlap = self.neg_laplacian(w1, w2)
-        return 0.5 * self.grid.cell_area * _dot(w1, w2, *nlap)
+    def quadratic(self, w1, w2, nlap) -> float:
+        """Quadratic part of the functional at w, given nlap = -Laplacian(w).
 
-    def value(self, w1, w2, exps=None, quad=None) -> float:
-        """Functional at w; on the torus ``quad`` may supply its quadratic part."""
-        e1, e2 = exps if exps is not None else self.exponentials(w1, w2)
+        da/2 <w, -Lap w> on the torus; the edge energy on the plane, which
+        also counts the edges to the boundary ring.
+        """
+        if self.torus:
+            return 0.5 * self.grid.cell_area * _dot(w1, w2, *nlap)
+        return self._edge_form(w1, w1) + self._edge_form(w2, w2)
+
+    def quadratic_along(self, w1, w2, d1, d2) -> tuple[float, float]:
+        """(cross, curv): the quadratic part at w + alpha d is
+        quadratic(w) + alpha cross + alpha^2 curv."""
+        if self.torus:
+            nlap1, nlap2 = self.neg_laplacian(d1, d2)
+            da = self.grid.cell_area
+            return da * _dot(w1, w2, nlap1, nlap2), 0.5 * da * _dot(d1, d2, nlap1, nlap2)
+        form = self._edge_form
+        return 2.0 * (form(w1, d1) + form(w2, d2)), form(d1, d1) + form(d2, d2)
+
+    def value(self, w1, w2, exps, quad) -> float:
+        """Functional at w from its exponentials and its quadratic part."""
+        e1, e2 = exps
         da = self.grid.cell_area
         if self.torus:
-            if quad is None:
-                quad = self.torus_quadratic(w1, w2)
             rest = da * float(
                 np.sum(self.coef_value * (e1 + e2) - self.c1 * w1 - self.c2 * w2)
             )
-            return quad + rest
-        quad = self._edge_energy(w1) + self._edge_energy(w2)
-        rest = da * float(
-            np.sum(self.coef_value * ((e1 - self.a1) + (e2 - self.a2)))
-            + np.sum(self.lin1 * w1 + self.lin2 * w2)
-        )
+        else:
+            rest = da * float(
+                np.sum(self.coef_value * ((e1 - self.a1) + (e2 - self.a2)))
+                + np.sum(self.lin1 * w1 + self.lin2 * w2)
+            )
         return quad + rest
 
-    def gradient(self, w1, w2, exps=None, nlap=None) -> tuple[np.ndarray, np.ndarray]:
-        """L2 gradient at w; ``nlap`` may supply -Laplacian(w)."""
-        e1, e2 = exps if exps is not None else self.exponentials(w1, w2)
-        if nlap is None:
-            nlap = self.neg_laplacian(w1, w2)
+    def gradient(self, exps, nlap) -> tuple[np.ndarray, np.ndarray]:
+        """L2 gradient at w from its exponentials and nlap = -Laplacian(w)."""
+        e1, e2 = exps
         g1 = nlap[0] + self.coef_g1_e1 * e1 + self.coef_g1_e2 * e2
         g2 = nlap[1] + self.factor * e2
         if self.torus:
@@ -352,11 +358,12 @@ def _pcg(problem: _Problem, mult, b1, b2, shift, tol_rel, max_iter):
     """Preconditioned CG for H d = b; raises if negative curvature shows up.
 
     Carries q = -Lap p by recurrence (module docstring), so the loop applies
-    no Laplacian: two preconditioner solves per iteration.
+    no Laplacian: two preconditioner solves per iteration.  b becomes the
+    residual and is overwritten: pass arrays the caller no longer needs.
     """
     x1 = np.zeros_like(b1)
     x2 = np.zeros_like(b2)
-    r1, r2 = b1.copy(), b2.copy()
+    r1, r2 = b1, b2
     bnorm = math.sqrt(_dot(b1, b2, b1, b2))
     if bnorm == 0.0:
         return x1, x2, 0
@@ -401,23 +408,6 @@ def _advance(p, q, r, z, beta, shift) -> None:
     q -= z
 
 
-def _quad_along(problem: _Problem, quad0, w1, w2, d1, d2):
-    """alpha -> quadratic part of the torus functional at w + alpha d.
-
-    -Lap is symmetric, so it is quad0 + alpha cross + alpha^2 curv with
-    cross = da <w, -Lap d> and curv = da <d, -Lap d>/2: one Laplacian per
-    component of d, only two scalars kept, and no Laplacian in the Armijo
-    trials.  On the plane the value has no such part to pass: None.
-    """
-    if not problem.torus:
-        return lambda alpha: None
-    nlap1, nlap2 = problem.neg_laplacian(d1, d2)
-    da = problem.grid.cell_area
-    cross = da * _dot(w1, w2, nlap1, nlap2)
-    curv = 0.5 * da * _dot(d1, d2, nlap1, nlap2)
-    return lambda alpha: quad0 + alpha * cross + alpha * alpha * curv
-
-
 def _canonical_orientation(cfg: SolveConfig) -> bool:
     """True if the species must be swapped to reach the canonical order."""
     key = (cfg.vortices.up, cfg.vortices.down)
@@ -438,15 +428,14 @@ def _solve_canonical(cfg: SolveConfig, bg: BackgroundData, initial_state: State 
     shift = cfg.coupling.lambda0 / 2.0
     history = []
     converged = False
+    exps = problem.exponentials(w1, w2)
     for it in range(cfg.max_newton + 1):
-        exps = problem.exponentials(w1, w2)
         nlap = problem.neg_laplacian(w1, w2)
-        g1, g2 = problem.gradient(w1, w2, exps=exps, nlap=nlap)
-        # on the torus the value takes its quadratic part from the same -Lap w
-        quad = problem.torus_quadratic(w1, w2, nlap) if problem.torus else None
+        g1, g2 = problem.gradient(exps, nlap)
+        quad = problem.quadratic(w1, w2, nlap)
         del nlap
         residual = float(max(np.max(np.abs(g1)), np.max(np.abs(g2))))
-        value = problem.value(w1, w2, exps=exps, quad=quad)
+        value = problem.value(w1, w2, exps, quad)
         if residual <= cfg.tol_residual:
             history.append(NewtonStep(it, residual, value, 0.0, 0))
             converged = True
@@ -469,38 +458,40 @@ def _solve_canonical(cfg: SolveConfig, bg: BackgroundData, initial_state: State 
         # the sufficient-decrease test spuriously fails once the predicted
         # decrease drops below ~eps*|I|
         noise = 16.0 * np.finfo(float).eps * (abs(value) + 1.0)
-        quad_at = _quad_along(problem, quad, w1, w2, d1, d2)
+        cross, curv = problem.quadratic_along(w1, w2, d1, d2)
         alpha = 1.0
         while True:
+            t1 = w1 + alpha * d1
+            t2 = w2 + alpha * d2
             try:
-                trial = problem.value(w1 + alpha * d1, w2 + alpha * d2, quad=quad_at(alpha))
+                t_exps = problem.exponentials(t1, t2)
             except ExponentOverflow:
                 trial = math.inf
+            else:
+                trial = problem.value(t1, t2, t_exps, quad + alpha * cross + alpha * alpha * curv)
             if trial <= value + cfg.armijo_c * alpha * slope + noise:
                 break
             alpha *= cfg.armijo_backtrack
             if alpha < 1e-14:
                 raise LineSearchStalled("Armijo backtracking stalled below 1e-14")
-        w1 = w1 + alpha * d1
-        w2 = w2 + alpha * d2
+        w1, w2, exps = t1, t2, t_exps
         history.append(NewtonStep(it, residual, value, alpha, cg_its))
 
     assert converged
-    return problem, w1, w2, history
+    return problem, w1, w2, exps, history
 
 
-def _recover_fields(problem: _Problem, bg: BackgroundData, w1, w2):
-    """Map (w1, w2) back to u-variables; exact zeros survive in exp form."""
+def _recover_fields(problem: _Problem, w1, w2, exps):
+    """Map (w1, w2) back to u-variables; e^u comes from the iterate's
+    exponentials, where exact zeros survive."""
     v1, v2 = choleski_inverse_values(w1, w2, problem.k)
     half = 1.0 if problem.torus else 0.5
     shift = 0.0 if problem.torus else LOG2
-    a1, a2 = bg.exp_u0_up.values, bg.exp_u0_down.values
-    exp_u1 = half * a1 * np.exp(v1)
-    exp_u2 = half * a2 * np.exp(v2)
+    a1, a2 = problem.a1, problem.a2
     with np.errstate(divide="ignore"):
         u1 = np.where(a1 > 0.0, np.log(a1) + v1 - shift, LOG_ZERO)
         u2 = np.where(a2 > 0.0, np.log(a2) + v2 - shift, LOG_ZERO)
-    return u1, u2, exp_u1, exp_u2, v1, v2
+    return u1, u2, half * exps[0], half * exps[1], v1, v2
 
 
 def newton_solve(cfg: SolveConfig, bg: BackgroundData | None = None,
@@ -511,12 +502,9 @@ def newton_solve(cfg: SolveConfig, bg: BackgroundData | None = None,
     convexity the minimizer does not depend on it).
     """
     validate_vortex_positions(cfg.vortices, cfg.domain)
-    if cfg.domain.is_torus:
-        user_bg = bg if bg is not None else build_background(cfg.vortices, cfg.domain, cfg.grid)
-    else:
-        user_bg = bg if bg is not None else build_background(
-            cfg.vortices, cfg.domain, cfg.grid, mu=cfg.resolved_mu()
-        )
+    user_bg = bg if bg is not None else build_background(
+        cfg.vortices, cfg.domain, cfg.grid, mu=cfg.resolved_mu()
+    )
 
     swap = _canonical_orientation(cfg)
     if swap:
@@ -525,8 +513,8 @@ def newton_solve(cfg: SolveConfig, bg: BackgroundData | None = None,
     else:
         solve_cfg, solve_bg = cfg, user_bg
 
-    problem, w1, w2, history = _solve_canonical(solve_cfg, solve_bg, initial_state)
-    u1, u2, exp_u1, exp_u2, v1, v2 = _recover_fields(problem, solve_bg, w1, w2)
+    problem, w1, w2, exps, history = _solve_canonical(solve_cfg, solve_bg, initial_state)
+    u1, u2, exp_u1, exp_u2, v1, v2 = _recover_fields(problem, w1, w2, exps)
     final = history[-1]
 
     if swap:
@@ -558,13 +546,17 @@ def newton_solve(cfg: SolveConfig, bg: BackgroundData | None = None,
 def functional_value(state: State, cfg: SolveConfig, bg: BackgroundData) -> float:
     """Discrete value of the convex functional at the given state."""
     problem = _Problem(cfg, bg)
-    return problem.value(state.w1.values, state.w2.values)
+    w1, w2 = state.w1.values, state.w2.values
+    exps = problem.exponentials(w1, w2)
+    quad = problem.quadratic(w1, w2, problem.neg_laplacian(w1, w2))
+    return problem.value(w1, w2, exps, quad)
 
 
 def functional_gradient(state: State, cfg: SolveConfig, bg: BackgroundData) -> tuple[ScalarField, ScalarField]:
     """Residual of the transformed system == L2 gradient of the functional."""
     problem = _Problem(cfg, bg)
-    g1, g2 = problem.gradient(state.w1.values, state.w2.values)
+    w1, w2 = state.w1.values, state.w2.values
+    g1, g2 = problem.gradient(problem.exponentials(w1, w2), problem.neg_laplacian(w1, w2))
     return ScalarField(cfg.grid, g1), ScalarField(cfg.grid, g2)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -183,6 +184,23 @@ def test_green_tall_cell_finite_and_periodic():
     assert np.max(np.abs(green.greens(x, y + green.l2) - base)) < 1e-10
     bg = torus_background(vl.VortexSet(up=((0.3, 7.1, 1),)), vl.DomainSpec.torus(1.0, 40.0), grid)
     assert np.all(np.isfinite(bg.exp_u0_up.values))
+
+
+@pytest.mark.parametrize("aspect", [0.5, 1.0, 2.0, 40.0])
+def test_green_series_length_from_bound(aspect, rng):
+    # the series stops at its own 1e-16 bound: 5 terms on a square cell,
+    # and the terms a longer series adds are below rounding
+    green = vl.torus_green(vl.DomainSpec.torus(2 * np.pi, aspect * 2 * np.pi))
+    if aspect == 1.0:
+        assert green.series_terms == 5
+    longer = dataclasses.replace(green, series_terms=8)
+    x = rng.uniform(-10, 10, 500)
+    y = rng.uniform(-10, 10, 500)
+    assert np.array_equal(green.greens(x, y), longer.greens(x, y))
+    grid = vl.Grid2D.periodic(green.l1, green.l2, 256, 256)
+    px, py = 1.3, 0.4 * green.l2
+    xs, ys = grid.xs[None, :] - px, grid.ys[:, None] - py
+    assert np.array_equal(green.greens(xs, ys), longer.greens(xs, ys))
 
 
 def test_green_requires_torus():

@@ -303,6 +303,14 @@ def test_coincident_vortices_merged(tmp_path):
     assert resolved["vortices"]["up"] == [[1.9, 1.9, 2]]
 
 
+def test_resolve_config_fills_solver_defaults():
+    resolved = cli.resolve_config(torus_config(), "solve")
+    defaults = {f.name: f.default for f in fields(vl.SolveConfig)}
+    for key in ("tol_residual", "max_newton", "cg_tol", "cg_max_iter", "armijo_c", "armijo_backtrack"):
+        assert resolved[key] == defaults[key]
+        assert type(resolved[key]) is type(defaults[key])
+
+
 def test_shipped_torus_example_config(tmp_path):
     # the documented example: p=1, q=2, N1=2, N2=1 on the (2 pi)^2 cell
     config = Path(__file__).resolve().parents[1] / "configs" / "torus_example.json"

@@ -130,7 +130,7 @@ def test_pcg_direction_solves_explicit_hessian(setup, rng):
     problem = solver._Problem(cfg, bg)
     w1, w2 = state.w1.values, state.w2.values
     exps = problem.exponentials(w1, w2)
-    g1, g2 = problem.gradient(w1, w2, exps=exps)
+    g1, g2 = problem.gradient(exps, problem.neg_laplacian(w1, w2))
     mult = problem.hessian_multipliers(*exps)
     tol = 1e-8
     d1, d2, its = solver._pcg(problem, mult, -g1, -g2, cfg.coupling.lambda0 / 2.0, tol, 400)
@@ -195,50 +195,62 @@ def test_pcg_transform_count(make_cfg, monkeypatch):
     assert counts["precond"] == 2 * cg_iterations
 
 
-def test_torus_line_search_applies_no_laplacian(monkeypatch):
+def _torus_backtrack_config():
     # a 20 x 20 cell: the first Newton step from w = 0 backtracks
     l = 20.0
-    cfg = vl.SolveConfig(
+    return vl.SolveConfig(
         coupling=vl.coupling_from_pq(1.0, 2.0),
         vortices=vl.VortexSet(up=((6.0, 6.0, 2),), down=((14.0, 12.0, 1),)),
         domain=vl.DomainSpec.torus(l, l),
         grid=vl.Grid2D.periodic(l, l, 32, 32),
     )
-    bg = vl.build_background(cfg.vortices, cfg.domain, cfg.grid)
-    counts = {"laplacian": 0, "value": 0}
-    laplacian, value = solver.laplacian_values, solver._Problem.value
+
+
+@pytest.mark.parametrize("make_cfg", [_torus_backtrack_config, _plane_config], ids=["torus", "plane"])
+def test_line_search_applies_no_laplacian(make_cfg, monkeypatch):
+    cfg = make_cfg()
+    bg = vl.build_background(cfg.vortices, cfg.domain, cfg.grid, mu=cfg.resolved_mu())
+    counts = {"laplacian": 0, "exponentials": 0}
+    laplacian, exponentials = solver.laplacian_values, solver._Problem.exponentials
 
     def counted_laplacian(*args):
         counts["laplacian"] += 1
         return laplacian(*args)
 
-    def counted_value(*args, **kwargs):
-        counts["value"] += 1
-        return value(*args, **kwargs)
+    def counted_exponentials(*args):
+        counts["exponentials"] += 1
+        return exponentials(*args)
 
     with monkeypatch.context() as m:
         m.setattr(solver, "laplacian_values", counted_laplacian)
-        m.setattr(solver._Problem, "value", counted_value)
+        m.setattr(solver._Problem, "exponentials", counted_exponentials)
         sol = vl.newton_solve(cfg, bg)
     iterates = len(sol.history)
     steps = iterates - 1
-    trials = counts["value"] - iterates
-    assert any(step.step_size < 1.0 for step in sol.history[:-1])
+    # a step of size backtrack^j took j + 1 Armijo trials
+    trials = sum(
+        1 + round(math.log(step.step_size) / math.log(cfg.armijo_backtrack))
+        for step in sol.history[:-1]
+    )
+    assert sol.history[0].step_size < 1.0
     assert trials > steps
-    # two Laplacians per iterate (-Lap w) and two per step (-Lap d), however
-    # many Armijo trials the steps took
-    assert counts["laplacian"] == 2 * iterates + 2 * steps
+    # two Laplacians per iterate (-Lap w) and, on the torus, two per step
+    # (-Lap d), however many Armijo trials the steps took
+    per_step = 2 if cfg.domain.is_torus else 0
+    assert counts["laplacian"] == 2 * iterates + per_step * steps
+    # the accepted trial's exponentials are the next iterate's
+    assert counts["exponentials"] == 1 + trials
 
-    # each trial's quadratic part, expanded in alpha, is the direct value
+    # each trial's quadratic part, expanded in alpha, is the direct one
     problem = solver._Problem(cfg, bg)
     rng = np.random.default_rng(7)
     w1, w2, d1, d2 = (rng.uniform(-0.4, 0.4, cfg.grid.shape) for _ in range(4))
-    quad_at = solver._quad_along(problem, problem.torus_quadratic(w1, w2), w1, w2, d1, d2)
+    quad = problem.quadratic(w1, w2, problem.neg_laplacian(w1, w2))
+    cross, curv = problem.quadratic_along(w1, w2, d1, d2)
     for alpha in (1.0, 0.25, 2.0**-6):
         t1, t2 = w1 + alpha * d1, w2 + alpha * d2
-        assert problem.value(t1, t2, quad=quad_at(alpha)) == pytest.approx(
-            problem.value(t1, t2), rel=1e-12
-        )
+        direct = problem.quadratic(t1, t2, problem.neg_laplacian(t1, t2))
+        assert quad + alpha * cross + alpha * alpha * curv == pytest.approx(direct, rel=1e-12)
 
 
 # -- Newton solves ----------------------------------------------------------------
