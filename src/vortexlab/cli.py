@@ -307,12 +307,12 @@ def run_oracle_compare(resolved: dict, out_dir: Path) -> int:
                 f"vortex at ({x}, {y}) is off the origin; no radial reduction"
             )
     n1, n2 = cfg.vortices.n1, cfg.vortices.n2
-    sol = _solve(cfg)
-
     k = cfg.coupling
     r_half = cfg.domain.half_width
     rmax = max(r_half, 20.0 / k.decay_rate)
+    # the oracle needs no 2D solution: a bad oracle mesh fails before the solve
     r_oracle, u1_oracle, u2_oracle = radial_oracle(k, n1, n2, rmax, mesh=resolved["oracle_mesh"])
+    sol = _solve(cfg)
 
     grid = cfg.grid
     mu = cfg.resolved_mu()

@@ -39,15 +39,11 @@ Hessian action is then q + A p with the pointwise multipliers A: an
 iteration costs two preconditioner solves and no Laplacian.
 
 The Newton loop evaluates each quantity once per iterate.  An Armijo trial
-t = w + a d computes its exponentials, and the accepted trial, with them,
-is the next iterate.  The quadratic part Q of the functional is a symmetric
-form, so Q(w + a d) = Q(w) + a cross + a^2 curv: a trial needs three
-scalars and no Laplacian.  On the torus Q(w) = da/2 <w, -Lap w> comes from
-the -Lap w of the gradient, and cross = da <w, -Lap d>, curv = da/2
-<d, -Lap d> from one -Lap d per step; on the plane Q is the 5-point edge
-energy and cross, curv come from its bilinear form.  So a Newton step
-applies two Laplacians for the gradient and, on the torus only, two for the
-direction, whatever the number of Armijo trials.
+t = w + a d is evaluated directly: its exponentials, its -Lap t and its
+functional value, whose quadratic part is da/2 <t, -Lap t> on the torus and
+the 5-point edge energy on the plane.  The accepted trial, with all three,
+is the next iterate, and its -Lap t becomes the next gradient in place.  So
+a Newton step applies two Laplacians per Armijo trial and none besides.
 """
 
 from __future__ import annotations
@@ -117,6 +113,8 @@ class SolveConfig:
             raise ValueError("backtracking factor must lie in (0, 1)")
         if self.max_newton < 1:
             raise ValueError("max_newton must be >= 1")
+        if self.cg_max_iter < 1:
+            raise ValueError("cg_max_iter must be >= 1")
         if self.domain.is_torus:
             if self.grid.kind is not GridKind.PERIODIC_CELL:
                 raise ValueError("torus domain requires a periodic grid")
@@ -257,59 +255,45 @@ class _Problem:
             raise ExponentOverflow(f"exponent reached {peak:.3g}; iterate diverged")
         return self.a1 * np.exp(s1), self.a2 * np.exp(s2)
 
-    def _edge_form(self, u, v) -> float:
-        """Half the 5-point edge bilinear form; at u = v = w, the edge energy of w."""
+    def _edge_energy(self, u) -> float:
+        """5-point edge energy of u, counting the edges to the boundary ring."""
+        dx = np.diff(u, axis=1)
+        dy = np.diff(u, axis=0)
         hx, hy = self.grid.hx, self.grid.hy
-        return float(
-            0.5 * hy / hx * np.sum(np.diff(u, axis=1) * np.diff(v, axis=1))
-            + 0.5 * hx / hy * np.sum(np.diff(u, axis=0) * np.diff(v, axis=0))
-        )
+        return float(0.5 * hy / hx * np.sum(dx * dx) + 0.5 * hx / hy * np.sum(dy * dy))
 
     # -- functional, gradient, Hessian ----------------------------------------
 
     def neg_laplacian(self, v1, v2) -> tuple[np.ndarray, np.ndarray]:
         return -laplacian_values(self.grid, v1), -laplacian_values(self.grid, v2)
 
-    def quadratic(self, w1, w2, nlap) -> float:
-        """Quadratic part of the functional at w, given nlap = -Laplacian(w).
+    def evaluate(self, w1, w2):
+        """(exps, nlap, value) at w, with nlap = -Laplacian(w)."""
+        exps = self.exponentials(w1, w2)
+        nlap = self.neg_laplacian(w1, w2)
+        return exps, nlap, self.value(w1, w2, exps, nlap)
 
-        da/2 <w, -Lap w> on the torus; the edge energy on the plane, which
-        also counts the edges to the boundary ring.
-        """
-        if self.torus:
-            return 0.5 * self.grid.cell_area * _dot(w1, w2, *nlap)
-        return self._edge_form(w1, w1) + self._edge_form(w2, w2)
-
-    def quadratic_along(self, w1, w2, d1, d2) -> tuple[float, float]:
-        """(cross, curv): the quadratic part at w + alpha d is
-        quadratic(w) + alpha cross + alpha^2 curv."""
-        if self.torus:
-            nlap1, nlap2 = self.neg_laplacian(d1, d2)
-            da = self.grid.cell_area
-            return da * _dot(w1, w2, nlap1, nlap2), 0.5 * da * _dot(d1, d2, nlap1, nlap2)
-        form = self._edge_form
-        return 2.0 * (form(w1, d1) + form(w2, d2)), form(d1, d1) + form(d2, d2)
-
-    def value(self, w1, w2, exps, quad) -> float:
-        """Functional at w from its exponentials and its quadratic part."""
+    def value(self, w1, w2, exps, nlap) -> float:
+        """Functional at w from its exponentials and nlap = -Laplacian(w)."""
         e1, e2 = exps
         da = self.grid.cell_area
         if self.torus:
-            rest = da * float(
+            return 0.5 * da * _dot(w1, w2, *nlap) + da * float(
                 np.sum(self.coef_value * (e1 + e2) - self.c1 * w1 - self.c2 * w2)
             )
-        else:
-            rest = da * float(
-                np.sum(self.coef_value * ((e1 - self.a1) + (e2 - self.a2)))
-                + np.sum(self.lin1 * w1 + self.lin2 * w2)
-            )
-        return quad + rest
+        return self._edge_energy(w1) + self._edge_energy(w2) + da * float(
+            np.sum(self.coef_value * ((e1 - self.a1) + (e2 - self.a2)))
+            + np.sum(self.lin1 * w1 + self.lin2 * w2)
+        )
 
     def gradient(self, exps, nlap) -> tuple[np.ndarray, np.ndarray]:
-        """L2 gradient at w from its exponentials and nlap = -Laplacian(w)."""
+        """L2 gradient at w from its exponentials and nlap = -Laplacian(w),
+        written into the nlap arrays."""
         e1, e2 = exps
-        g1 = nlap[0] + self.coef_g1_e1 * e1 + self.coef_g1_e2 * e2
-        g2 = nlap[1] + self.factor * e2
+        g1, g2 = nlap
+        g1 += self.coef_g1_e1 * e1
+        g1 += self.coef_g1_e2 * e2
+        g2 += self.factor * e2
         if self.torus:
             g1 -= self.c1
             g2 -= self.c2
@@ -428,14 +412,10 @@ def _solve_canonical(cfg: SolveConfig, bg: BackgroundData, initial_state: State 
     shift = cfg.coupling.lambda0 / 2.0
     history = []
     converged = False
-    exps = problem.exponentials(w1, w2)
+    exps, nlap, value = problem.evaluate(w1, w2)
     for it in range(cfg.max_newton + 1):
-        nlap = problem.neg_laplacian(w1, w2)
         g1, g2 = problem.gradient(exps, nlap)
-        quad = problem.quadratic(w1, w2, nlap)
-        del nlap
         residual = float(max(np.max(np.abs(g1)), np.max(np.abs(g2))))
-        value = problem.value(w1, w2, exps, quad)
         if residual <= cfg.tol_residual:
             history.append(NewtonStep(it, residual, value, 0.0, 0))
             converged = True
@@ -449,6 +429,7 @@ def _solve_canonical(cfg: SolveConfig, bg: BackgroundData, initial_state: State 
         # so the outer iteration keeps its quadratic tail
         cg_rel = min(cfg.cg_tol, max(1e-8, residual))
         d1, d2, cg_its = _pcg(problem, mult, -g1, -g2, shift, cg_rel, cfg.cg_max_iter)
+        del mult
         slope = problem.grid.cell_area * _dot(g1, g2, d1, d2)
         if slope >= 0.0:
             # inexact CG returned a non-descent direction; fall back to -grad
@@ -458,24 +439,26 @@ def _solve_canonical(cfg: SolveConfig, bg: BackgroundData, initial_state: State 
         # the sufficient-decrease test spuriously fails once the predicted
         # decrease drops below ~eps*|I|
         noise = 16.0 * np.finfo(float).eps * (abs(value) + 1.0)
-        cross, curv = problem.quadratic_along(w1, w2, d1, d2)
         alpha = 1.0
         while True:
             t1 = w1 + alpha * d1
             t2 = w2 + alpha * d2
             try:
-                t_exps = problem.exponentials(t1, t2)
+                t_exps, t_nlap, trial = problem.evaluate(t1, t2)
             except ExponentOverflow:
                 trial = math.inf
-            else:
-                trial = problem.value(t1, t2, t_exps, quad + alpha * cross + alpha * alpha * curv)
             if trial <= value + cfg.armijo_c * alpha * slope + noise:
                 break
+            # a rejected trial's arrays go before the next trial allocates
+            t1 = t2 = t_exps = t_nlap = None
             alpha *= cfg.armijo_backtrack
             if alpha < 1e-14:
                 raise LineSearchStalled("Armijo backtracking stalled below 1e-14")
-        w1, w2, exps = t1, t2, t_exps
         history.append(NewtonStep(it, residual, value, alpha, cg_its))
+        w1, w2, exps, nlap, value = t1, t2, t_exps, t_nlap, trial
+        # only the iterate's names keep its arrays; the spent direction goes
+        # before the next CG allocates
+        del t1, t2, t_exps, t_nlap, d1, d2
 
     assert converged
     return problem, w1, w2, exps, history
@@ -546,10 +529,7 @@ def newton_solve(cfg: SolveConfig, bg: BackgroundData | None = None,
 def functional_value(state: State, cfg: SolveConfig, bg: BackgroundData) -> float:
     """Discrete value of the convex functional at the given state."""
     problem = _Problem(cfg, bg)
-    w1, w2 = state.w1.values, state.w2.values
-    exps = problem.exponentials(w1, w2)
-    quad = problem.quadratic(w1, w2, problem.neg_laplacian(w1, w2))
-    return problem.value(w1, w2, exps, quad)
+    return problem.evaluate(state.w1.values, state.w2.values)[2]
 
 
 def functional_gradient(state: State, cfg: SolveConfig, bg: BackgroundData) -> tuple[ScalarField, ScalarField]:
@@ -588,7 +568,7 @@ def radial_oracle(k: CouplingMatrix, n1: int, n2: int, rmax: float,
     if rmax < 20.0 / rate:
         raise ValueError(f"rmax must be at least {20.0 / rate:.3g} for this coupling")
     if mesh < 64:
-        raise ValueError("mesh too coarse")
+        raise ValueError(f"mesh {mesh} too coarse: the radial oracle needs at least 64 nodes")
 
     m = mesh
     h = rmax / (m - 1)

@@ -136,14 +136,18 @@ def test_solver_value_error_exit_3(tmp_path, monkeypatch, capsys, mode):
 
 
 def test_config_value_error_exit_1(tmp_path, monkeypatch, capsys):
-    # SolveConfig rejects the backtracking factor before any solve starts
+    # SolveConfig rejects bad solver settings before any solve starts
     def unreachable(cfg):
         raise AssertionError("newton_solve must not run on an invalid config")
 
     monkeypatch.setattr(cli, "newton_solve", unreachable)
-    path = write_config(tmp_path, torus_config(armijo_backtrack=1.5))
-    assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 1
-    assert "backtracking factor" in capsys.readouterr().err
+    for overrides, message in (
+        ({"armijo_backtrack": 1.5}, "backtracking factor"),
+        ({"cg_max_iter": 0}, "cg_max_iter"),
+    ):
+        path = write_config(tmp_path, torus_config(**overrides))
+        assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_solve_deterministic_and_rerunnable(tmp_path):
@@ -285,6 +289,24 @@ def test_oracle_compare_rejects_off_origin(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert cli.main(["oracle-compare", "--config", str(path), "--out", str(tmp_path)]) == 1
     assert "radial" in capsys.readouterr().err
+
+
+def test_oracle_compare_rejects_coarse_mesh_before_solving(tmp_path, monkeypatch, capsys):
+    def unreachable(cfg):
+        raise AssertionError("the 2D solve must not run when the oracle mesh is invalid")
+
+    monkeypatch.setattr(cli, "newton_solve", unreachable)
+    cfg = {
+        "p": 1.0,
+        "q": 2.0,
+        "domain": {"kind": "plane", "R": 10.0},
+        "grid": {"nx": 64, "ny": 64},
+        "oracle_mesh": 10,
+    }
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["oracle-compare", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "mesh 10" in err and "64" in err
 
 
 def test_vortices_outside_domain_rejected(tmp_path):
