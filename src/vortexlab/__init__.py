@@ -42,9 +42,9 @@ from .model import (
     PhysicalParams,
     VortexSet,
     check_admissibility,
-    choleski_forward,
-    choleski_inverse,
     coupling_from_pq,
+    eigen_forward,
+    eigen_inverse,
     merge_coincident,
 )
 from .solver import (

@@ -43,9 +43,6 @@ class BackgroundData:
     exp_u0_down: ScalarField
     mu: float | None = None
 
-    def swapped(self) -> "BackgroundData":
-        return BackgroundData(exp_u0_up=self.exp_u0_down, exp_u0_down=self.exp_u0_up, mu=self.mu)
-
 
 def default_mu(vortices: VortexSet) -> float:
     """Large enough that the coercivity condition 1 - g0 > 1/2 holds comfortably."""

@@ -42,8 +42,8 @@ from .model import (
     PhysicalParams,
     VortexSet,
     check_admissibility,
-    choleski_inverse_values,
     coupling_from_pq,
+    eigen_inverse_values,
     merge_coincident,
     validate_vortex_positions,
 )
@@ -86,6 +86,10 @@ def _need(d: dict, key: str, where: str):
 def _as_number(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"key '{key}' must be a number")
+    # JSON admits NaN and Infinity, 1e999 parses as inf, and a long integer
+    # overflows float; the comparison is exact for ints and false for NaN
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"key '{key}' must be a finite number")
     return float(value)
 
 
@@ -322,7 +326,7 @@ def run_oracle_compare(resolved: dict, out_dir: Path) -> int:
     x, y = diagnostics.ring_points(radii, 720)
     # sample u through the analytic background plus the interpolated smooth
     # correction; interpolating u directly would lose accuracy at the core
-    v1, v2 = choleski_inverse_values(sol.state.w1.values, sol.state.w2.values, k)
+    v1, v2 = eigen_inverse_values(sol.state.w1.values, sol.state.w2.values, k)
     u1_rings = (
         plane_log_u0(cfg.vortices.up, mu, x, y)
         + diagnostics.bilinear_sample(grid, v1, x, y)

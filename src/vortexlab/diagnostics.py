@@ -14,7 +14,7 @@ import numpy as np
 
 from .discretization import Grid2D, GridKind, ScalarField, integrate
 from .errors import InsufficientDecayWindow
-from .model import PhysicalParams, VortexSet, choleski_inverse
+from .model import PhysicalParams, VortexSet, eigen_inverse
 from .solver import LOG2, Solution, functional_gradient
 
 
@@ -203,13 +203,14 @@ def _vortex_cell_mask(grid: Grid2D, vortices: VortexSet, halo: int = 2) -> np.nd
 def residual_norm(sol: Solution) -> float:
     """Inf-norm of the original-variable residual away from vortex cells.
 
-    The transformed-system gradient maps back to the u-variable residual
-    through the inverse Choleski transform; away from the masked cells the
+    The transformed-system gradient g maps back to the u-variable residual
+    M g through the inverse eigenbasis transform, whatever basis the solver
+    uses, since M M^T is fixed by K; away from the masked cells the
     background identity holds and the two residuals coincide.
     """
     cfg = sol.config
     g1, g2 = functional_gradient(sol.state, cfg, sol.background)
-    r1, r2 = choleski_inverse(g1, g2, cfg.coupling)
+    r1, r2 = eigen_inverse(g1, g2, cfg.coupling)
     mask = _vortex_cell_mask(cfg.grid, cfg.vortices)
     if not cfg.domain.is_torus:
         mask[0, :] = mask[-1, :] = True

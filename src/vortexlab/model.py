@@ -5,8 +5,9 @@ only through the symmetric 2x2 matrix
 
     K = (1/p) [[p+q, p-q], [p-q, p+q]],
 
-whose eigenvalues are 2 and 2q/p.  The slowest decay constant of the far
-field is lambda0 = 4*min(2, 2q/p).
+whose eigenvalues are lambda1 = 2 along (1, 1) and lambda2 = 2q/p along
+(1, -1).  The slowest decay constant of the far field is
+lambda0 = 4*min(2, 2q/p).
 """
 
 from __future__ import annotations
@@ -73,8 +74,9 @@ class CouplingMatrix:
     lambda0: float
 
     @property
-    def sqrt_det(self) -> float:
-        return math.sqrt(self.det)
+    def eigen_scales(self) -> tuple[float, float]:
+        """(alpha, beta) = sqrt(det*lambda_i/(2 k11)), the scales of the eigenbasis map."""
+        return tuple(math.sqrt(self.det * lam / (2.0 * self.k11)) for lam in (self.lambda1, self.lambda2))
 
     @property
     def decay_rate(self) -> float:
@@ -249,28 +251,33 @@ def check_admissibility(k: CouplingMatrix, n1: int, n2: int, area: float) -> Adm
     )
 
 
-# -- Choleski change of variables ----------------------------------------------
+# -- Eigenbasis change of variables ---------------------------------------------
+# v = M w, M = [[alpha, beta], [alpha, -beta]] along K's eigenvectors (1, 1) and
+# (1, -1), M M^T = (det/k11) K.  Exchanging v1 and v2 keeps w1 and negates w2.
 
-def choleski_forward_values(v1: np.ndarray, v2: np.ndarray, k: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(v1, v2) -> (w1, w2) = (v1/sqrt(det), (k11*v2 - k21*v1)/det) on raw arrays."""
-    return v1 / k.sqrt_det, (k.k11 * v2 - k.k21 * v1) / k.det
-
-
-def choleski_inverse_values(w1: np.ndarray, w2: np.ndarray, k: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of choleski_forward_values on raw arrays."""
-    sdet = k.sqrt_det
-    return sdet * w1, (k.det * w2 + k.k21 * sdet * w1) / k.k11
+def eigen_forward_values(v1, v2, k: CouplingMatrix):
+    """(v1, v2) -> (w1, w2) = ((v1 + v2)/(2 alpha), (v1 - v2)/(2 beta)) on raw arrays or scalars."""
+    alpha, beta = k.eigen_scales
+    return (v1 + v2) / (2.0 * alpha), (v1 - v2) / (2.0 * beta)
 
 
-def choleski_forward(v1: ScalarField, v2: ScalarField, k: CouplingMatrix) -> tuple[ScalarField, ScalarField]:
-    """choleski_forward_values on fields, pointwise."""
+def eigen_inverse_values(w1, w2, k: CouplingMatrix):
+    """(w1, w2) -> (v1, v2) = (alpha w1 + beta w2, alpha w1 - beta w2) on raw arrays or scalars."""
+    alpha, beta = k.eigen_scales
+    a = alpha * w1
+    b = beta * w2
+    return a + b, a - b
+
+
+def eigen_forward(v1: ScalarField, v2: ScalarField, k: CouplingMatrix) -> tuple[ScalarField, ScalarField]:
+    """eigen_forward_values on fields, pointwise."""
     grid = require_same_grid(v1, v2)
-    w1, w2 = choleski_forward_values(v1.values, v2.values, k)
+    w1, w2 = eigen_forward_values(v1.values, v2.values, k)
     return ScalarField(grid, w1), ScalarField(grid, w2)
 
 
-def choleski_inverse(w1: ScalarField, w2: ScalarField, k: CouplingMatrix) -> tuple[ScalarField, ScalarField]:
-    """Inverse of choleski_forward."""
+def eigen_inverse(w1: ScalarField, w2: ScalarField, k: CouplingMatrix) -> tuple[ScalarField, ScalarField]:
+    """Inverse of eigen_forward."""
     grid = require_same_grid(w1, w2)
-    v1, v2 = choleski_inverse_values(w1.values, w2.values, k)
+    v1, v2 = eigen_inverse_values(w1.values, w2.values, k)
     return ScalarField(grid, v1), ScalarField(grid, v2)

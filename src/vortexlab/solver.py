@@ -1,42 +1,44 @@
 """Damped Newton minimization of the transformed vortex functional.
 
-The elliptic system is solved in the Choleski variables (w1, w2), where it is
-the Euler-Lagrange equation of a strictly convex functional.  On the torus
+The elliptic system is solved in the eigenbasis variables (w1, w2) of K,
+where it is the Euler-Lagrange equation of a strictly convex functional:
+u - u0 = M w with M = [[alpha, beta], [alpha, -beta]] along K's eigenvectors
+(1, 1) and (1, -1), and M M^T = (det/k11) K (``model``).  On the torus
 
     I = int 1/2|grad w1|^2 + 1/2|grad w2|^2
-        + (4 k11/det)(e^{u0' + s1} + e^{u0'' + s2}) - C1 w1 - C2 w2,
+        + kappa (e^{u0' + s1} + e^{u0'' + s2}) - C1 w1 - C2 w2,
 
-with s1 = sqrt(det) w1, s2 = (det w2 + k21 sqrt(det) w1)/k11 and
-
-    C1 = (4/sqrt(det))(1 - pi N1/|Omega|),
-    C2 = 2 - (4 pi/(|Omega| det))(k11 N2 - k21 N1).
+with kappa = 4 k11/det, (s1, s2) = M w and (C1, C2) = M^{-1} (c1, c2),
+c_i = 4(1 - pi N_i/|Omega|).
 
 On the truncated plane the exponential coefficients are halved (the -ln 2
-vacuum shift is absorbed into the unknowns), the linear terms carry source
-fields h1 = g0'/sqrt(det), h2 = (k11 g0'' - k21 g0')/det, and the unknowns
-satisfy the Dirichlet data w = T(-u0) on the truncation boundary so that
+vacuum shift is absorbed into the unknowns), the linear term is
+M^{-1}(g0 - 4) with the source g0 of each species, and the unknowns satisfy
+the Dirichlet data w = M^{-1}(-u0) on the truncation boundary so that
 u = -ln 2 there up to the exponentially small truncation error.
 
 Two discretization choices matter for reproducibility:
 
-* the plane source is anchored to a fixed reference split mu*:
-  h = T(g0(mu*) + Lap_h(u0(mu*) - u0(mu))), where the shift
+* the plane source is anchored to a fixed reference split mu*: g0(mu) is
+  realized as g0(mu*) + Lap_h(u0(mu*) - u0(mu)), where the shift
   u0(mu*) - u0(mu) = sum_j m_j ln((d^2+mu)/(d^2+mu*)) is smooth because the
   log singularities cancel.  The discrete systems for different mu are then
   exactly equivalent, so the recovered u is mu-independent down to solver
-  tolerance while the scheme remains an O(h^2)-consistent realization of
-  h = T(g0(mu));
-* the vortex species are put into a canonical order before solving and the
-  outputs swapped back, which makes the species-exchange symmetry of the
-  system bit-exact.
+  tolerance while the scheme remains O(h^2)-consistent;
+* exchanging the species keeps w1 and negates w2.  Every odd quantity (w2,
+  e1 - e2, the second gradient component) only changes sign, and IEEE
+  negation is exact, so the exchange symmetry holds bit for bit.
 
-Each Newton step solves H d = -g by CG preconditioned with (s - Lap)^{-1},
-s = lambda0/2: spectral on the torus, one sine transform plus one tridiagonal
-solve on the plane (see ``discretization``).  That inverse is exact, so
--Lap z = r - s z for the preconditioned residual z, and q = -Lap p follows
-the recurrence q <- (r - s z) + beta q of the search direction p.  The
-Hessian action is then q + A p with the pointwise multipliers A: an
-iteration costs two preconditioner solves and no Laplacian.
+Each Newton step solves H d = -g by CG preconditioned with (s_i - Lap)^{-1}
+per component: spectral on the torus, one sine transform plus one
+tridiagonal solve on the plane (see ``discretization``).  The shifts s_i are
+the diagonal of the multipliers kappa M^T diag(e) M at the vacuum e = (1, 1)
+on the plane, (2 lambda1, 2 lambda2), and at the cell means eta_i/|Omega| on
+the torus: one shift per mode of the linearized far field.  The inverse is
+exact, so -Lap z_i = r_i - s_i z_i, and q = -Lap p follows the recurrence
+q_i <- (r_i - s_i z_i) + beta q_i of the search direction p.  The Hessian
+action is then q + A p with the pointwise multipliers A: an iteration costs
+two preconditioner solves and no Laplacian.
 
 The Newton loop evaluates each quantity once per iterate.  An Armijo trial
 t = w + a d is evaluated directly: its exponentials, its -Lap t and its
@@ -49,7 +51,7 @@ a Newton step applies two Laplacians per Armijo trial and none besides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -82,8 +84,8 @@ from .model import (
     DomainSpec,
     VortexSet,
     check_admissibility,
-    choleski_forward_values,
-    choleski_inverse_values,
+    eigen_forward_values,
+    eigen_inverse_values,
     validate_vortex_positions,
 )
 
@@ -107,8 +109,10 @@ class SolveConfig:
     armijo_backtrack: float = 0.5
 
     def __post_init__(self):
-        if min(self.tol_residual, self.cg_tol, self.armijo_c) <= 0:
+        if min(self.tol_residual, self.cg_tol) <= 0:
             raise ValueError("tolerances must be positive")
+        if not 0 < self.armijo_c < 1:
+            raise ValueError("armijo_c must lie in (0, 1)")
         if not 0 < self.armijo_backtrack < 1:
             raise ValueError("backtracking factor must lie in (0, 1)")
         if self.max_newton < 1:
@@ -135,7 +139,7 @@ class SolveConfig:
 
 @dataclass
 class State:
-    """Choleski variables; on the plane the boundary ring carries fixed data."""
+    """Eigenbasis variables; on the plane the boundary ring carries fixed data."""
 
     w1: ScalarField
     w2: ScalarField
@@ -154,9 +158,8 @@ class NewtonStep:
 class Solution:
     """Converged fields and solve metadata.
 
-    ``final_residual`` and ``functional_value`` refer to the system actually
-    solved (species in canonical order); the u fields are always in the
-    caller's species order.
+    ``final_residual`` and ``functional_value`` refer to the transformed
+    system; ``final_residual`` is the inf-norm of its gradient in (w1, w2).
     """
 
     u1: ScalarField
@@ -186,11 +189,11 @@ class _Problem:
         self.torus = cfg.domain.is_torus
         self.a1 = bg.exp_u0_up.values
         self.a2 = bg.exp_u0_down.values
-        factor = 4.0 if self.torus else 2.0
-        self.factor = factor
-        self.coef_g1_e1 = factor * k.k11 / k.sqrt_det
-        self.coef_g1_e2 = factor * k.k21 / k.sqrt_det
-        self.coef_value = factor * k.k11 / k.det
+        kappa = self.coef_value = (4.0 if self.torus else 2.0) * k.k11 / k.det
+        alpha, beta = k.eigen_scales
+        # kappa M^T e is the exponential part of the gradient, kappa M^T diag(e) M its Hessian
+        self.coef_g = (kappa * alpha, kappa * beta)
+        self.coef_a = (kappa * alpha * alpha, kappa * alpha * beta, kappa * beta * beta)
 
         area = cfg.domain.area
         n1, n2 = cfg.vortices.n1, cfg.vortices.n2
@@ -200,14 +203,14 @@ class _Problem:
                 raise InfeasibleDomain(
                     f"cell area {area:.6g} is below the existence threshold {report.threshold:.6g}"
                 )
-            self.c1 = (4.0 / k.sqrt_det) * (1.0 - math.pi * n1 / area)
-            self.c2 = 2.0 - (4.0 * math.pi / (area * k.det)) * (k.k11 * n2 - k.k21 * n1)
-            self.boundary_w1 = None
-            self.boundary_w2 = None
-            self.lin1 = None
-            self.lin2 = None
+            self.c1, self.c2 = eigen_forward_values(
+                4.0 * (1.0 - math.pi * n1 / area), 4.0 * (1.0 - math.pi * n2 / area), k
+            )
+            # the flux identities fix the cell means of e^{u_i} to eta_i/|Omega|
+            reference = (report.eta1 / area, report.eta2 / area)
         else:
-            mu = bg.mu
+            mu = self.mu = bg.mu
+            self.vortices = cfg.vortices
             mu_star = default_mu(cfg.vortices)
             xg, yg = self.grid.meshgrid()
             # source anchored to the fixed reference split mu*: the shifted
@@ -220,28 +223,30 @@ class _Problem:
                 shift2 = plane_log_u0_shift(cfg.vortices.down, mu, mu_star, xg, yg)
                 g1 = g1 + laplacian_values(self.grid, shift1)
                 g2 = g2 + laplacian_values(self.grid, shift2)
-            h1, h2 = choleski_forward_values(g1, g2, k)
-            self.lin1 = h1 - 4.0 / k.sqrt_det
-            self.lin2 = h2 - 2.0
+            self.lin1, self.lin2 = eigen_forward_values(g1 - 4.0, g2 - 4.0, k)
             self._zero_boundary(self.lin1)
             self._zero_boundary(self.lin2)
-            # Dirichlet data w = T(-u0): makes u = -ln 2 exact on the ring
-            # (u0 decays only like mu/r^2, so w = 0 there would pollute the
-            # whole boundary layer)
-            tv1 = np.zeros(self.grid.shape)
-            tv2 = np.zeros(self.grid.shape)
-            for ring in (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1]):
-                tv1[ring] = -plane_log_u0(cfg.vortices.up, mu, xg[ring], yg[ring])
-                tv2[ring] = -plane_log_u0(cfg.vortices.down, mu, xg[ring], yg[ring])
-            self.boundary_w1, self.boundary_w2 = choleski_forward_values(tv1, tv2, k)
+            reference = (1.0, 1.0)  # the vacuum
+        # one preconditioner shift per component: the diagonal of the far-field
+        # multipliers, which the eigenbasis makes (nearly) diagonal
+        a11, _, a22 = self.hessian_multipliers(*reference)
+        self.shifts = (a11, a22)
 
     # -- helpers --------------------------------------------------------------
 
     def initial_w(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.torus:
-            return np.zeros(self.grid.shape), np.zeros(self.grid.shape)
-        # the ring data is zero inside the ring
-        return self.boundary_w1.copy(), self.boundary_w2.copy()
+        w1 = np.zeros(self.grid.shape)
+        w2 = np.zeros(self.grid.shape)
+        if not self.torus:
+            # Dirichlet data w = M^{-1}(-u0): makes u = -ln 2 exact on the ring
+            # (u0 decays only like mu/r^2, so w = 0 there would pollute the
+            # whole boundary layer).  The iterate's ring carries it from here on.
+            xg, yg = self.grid.meshgrid()
+            for ring in (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1]):
+                w1[ring], w2[ring] = eigen_forward_values(
+                    -plane_log_u0(self.vortices.up, self.mu, xg[ring], yg[ring]),
+                    -plane_log_u0(self.vortices.down, self.mu, xg[ring], yg[ring]), self.k)
+        return w1, w2
 
     @staticmethod
     def _zero_boundary(arr):
@@ -249,7 +254,7 @@ class _Problem:
         arr[:, 0] = arr[:, -1] = 0.0
 
     def exponentials(self, w1, w2) -> tuple[np.ndarray, np.ndarray]:
-        s1, s2 = choleski_inverse_values(w1, w2, self.k)
+        s1, s2 = eigen_inverse_values(w1, w2, self.k)
         peak = max(np.max(s1), np.max(s2))
         if peak > EXP_GUARD:
             raise ExponentOverflow(f"exponent reached {peak:.3g}; iterate diverged")
@@ -274,7 +279,8 @@ class _Problem:
         return exps, nlap, self.value(w1, w2, exps, nlap)
 
     def value(self, w1, w2, exps, nlap) -> float:
-        """Functional at w from its exponentials and nlap = -Laplacian(w)."""
+        """Functional at w from its exponentials and nlap = -Laplacian(w);
+        the plane's edge energy does not read nlap."""
         e1, e2 = exps
         da = self.grid.cell_area
         if self.torus:
@@ -291,9 +297,9 @@ class _Problem:
         written into the nlap arrays."""
         e1, e2 = exps
         g1, g2 = nlap
-        g1 += self.coef_g1_e1 * e1
-        g1 += self.coef_g1_e2 * e2
-        g2 += self.factor * e2
+        c1, c2 = self.coef_g
+        g1 += c1 * (e1 + e2)
+        g2 += c2 * (e1 - e2)
         if self.torus:
             g1 -= self.c1
             g2 -= self.c2
@@ -305,12 +311,10 @@ class _Problem:
         return g1, g2
 
     def hessian_multipliers(self, e1, e2):
-        k = self.k
-        t = (self.factor / k.k11) * e2
-        a11 = self.factor * k.k11 * e1 + k.k21**2 * t
-        a12 = k.k21 * k.sqrt_det * t
-        a22 = k.det * t
-        return a11, a12, a22
+        """kappa M^T diag(e) M: (a11, a12, a22), on arrays or scalars."""
+        c11, c12, c22 = self.coef_a
+        total = e1 + e2
+        return c11 * total, c12 * (e1 - e2), c22 * total
 
     def hess_mv(self, mult, d1, d2, nlap1, nlap2, out) -> tuple[np.ndarray, np.ndarray]:
         """Hessian action on d, written into ``out``, given nlap = -Laplacian(d)."""
@@ -327,18 +331,17 @@ class _Problem:
             self._zero_boundary(h2)
         return h1, h2
 
-    def precondition(self, r1, r2, shift) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            solve_shifted_poisson(self.grid, r1, shift),
-            solve_shifted_poisson(self.grid, r2, shift),
-        )
+    def precondition(self, r1, r2) -> tuple[np.ndarray, np.ndarray]:
+        """(shifts_i - Lap)^{-1} r_i, component by component."""
+        s1, s2 = self.shifts
+        return solve_shifted_poisson(self.grid, r1, s1), solve_shifted_poisson(self.grid, r2, s2)
 
 
 def _dot(a1, a2, b1, b2) -> float:
     return float(np.sum(a1 * b1) + np.sum(a2 * b2))
 
 
-def _pcg(problem: _Problem, mult, b1, b2, shift, tol_rel, max_iter):
+def _pcg(problem: _Problem, mult, b1, b2, tol_rel, max_iter):
     """Preconditioned CG for H d = b; raises if negative curvature shows up.
 
     Carries q = -Lap p by recurrence (module docstring), so the loop applies
@@ -351,10 +354,11 @@ def _pcg(problem: _Problem, mult, b1, b2, shift, tol_rel, max_iter):
     bnorm = math.sqrt(_dot(b1, b2, b1, b2))
     if bnorm == 0.0:
         return x1, x2, 0
-    z1, z2 = problem.precondition(r1, r2, shift)
+    s1, s2 = problem.shifts
+    z1, z2 = problem.precondition(r1, r2)
     p1, p2 = z1.copy(), z2.copy()
-    q1 = r1 - shift * z1
-    q2 = r2 - shift * z2
+    q1 = r1 - s1 * z1
+    q2 = r2 - s2 * z2
     rz = _dot(r1, r2, z1, z2)
     for it in range(1, max_iter + 1):
         # z is spent: the Hessian action takes its storage
@@ -373,12 +377,12 @@ def _pcg(problem: _Problem, mult, b1, b2, shift, tol_rel, max_iter):
             return x1, x2, it
         # free the spent buffer before the preconditioner allocates the next z
         del h1, h2, z1, z2
-        z1, z2 = problem.precondition(r1, r2, shift)
+        z1, z2 = problem.precondition(r1, r2)
         rz_new = _dot(r1, r2, z1, z2)
         beta = rz_new / rz
         rz = rz_new
-        _advance(p1, q1, r1, z1, beta, shift)
-        _advance(p2, q2, r2, z2, beta, shift)
+        _advance(p1, q1, r1, z1, beta, s1)
+        _advance(p2, q2, r2, z2, beta, s2)
     return x1, x2, max_iter
 
 
@@ -392,13 +396,7 @@ def _advance(p, q, r, z, beta, shift) -> None:
     q -= z
 
 
-def _canonical_orientation(cfg: SolveConfig) -> bool:
-    """True if the species must be swapped to reach the canonical order."""
-    key = (cfg.vortices.up, cfg.vortices.down)
-    return (key[1], key[0]) < key
-
-
-def _solve_canonical(cfg: SolveConfig, bg: BackgroundData, initial_state: State | None):
+def _minimize(cfg: SolveConfig, bg: BackgroundData, initial_state: State | None):
     problem = _Problem(cfg, bg)
     w1, w2 = problem.initial_w()
     if initial_state is not None:
@@ -409,7 +407,6 @@ def _solve_canonical(cfg: SolveConfig, bg: BackgroundData, initial_state: State 
             w1[1:-1, 1:-1] = initial_state.w1.values[1:-1, 1:-1]
             w2[1:-1, 1:-1] = initial_state.w2.values[1:-1, 1:-1]
 
-    shift = cfg.coupling.lambda0 / 2.0
     history = []
     converged = False
     exps, nlap, value = problem.evaluate(w1, w2)
@@ -428,7 +425,7 @@ def _solve_canonical(cfg: SolveConfig, bg: BackgroundData, initial_state: State 
         # Eisenstat-Walker forcing: tighten the inner solve with the residual
         # so the outer iteration keeps its quadratic tail
         cg_rel = min(cfg.cg_tol, max(1e-8, residual))
-        d1, d2, cg_its = _pcg(problem, mult, -g1, -g2, shift, cg_rel, cfg.cg_max_iter)
+        d1, d2, cg_its = _pcg(problem, mult, -g1, -g2, cg_rel, cfg.cg_max_iter)
         del mult
         slope = problem.grid.cell_area * _dot(g1, g2, d1, d2)
         if slope >= 0.0:
@@ -467,14 +464,14 @@ def _solve_canonical(cfg: SolveConfig, bg: BackgroundData, initial_state: State 
 def _recover_fields(problem: _Problem, w1, w2, exps):
     """Map (w1, w2) back to u-variables; e^u comes from the iterate's
     exponentials, where exact zeros survive."""
-    v1, v2 = choleski_inverse_values(w1, w2, problem.k)
+    v1, v2 = eigen_inverse_values(w1, w2, problem.k)
     half = 1.0 if problem.torus else 0.5
     shift = 0.0 if problem.torus else LOG2
     a1, a2 = problem.a1, problem.a2
     with np.errstate(divide="ignore"):
         u1 = np.where(a1 > 0.0, np.log(a1) + v1 - shift, LOG_ZERO)
         u2 = np.where(a2 > 0.0, np.log(a2) + v2 - shift, LOG_ZERO)
-    return u1, u2, half * exps[0], half * exps[1], v1, v2
+    return u1, u2, half * exps[0], half * exps[1]
 
 
 def newton_solve(cfg: SolveConfig, bg: BackgroundData | None = None,
@@ -485,27 +482,12 @@ def newton_solve(cfg: SolveConfig, bg: BackgroundData | None = None,
     convexity the minimizer does not depend on it).
     """
     validate_vortex_positions(cfg.vortices, cfg.domain)
-    user_bg = bg if bg is not None else build_background(
-        cfg.vortices, cfg.domain, cfg.grid, mu=cfg.resolved_mu()
-    )
+    if bg is None:
+        bg = build_background(cfg.vortices, cfg.domain, cfg.grid, mu=cfg.resolved_mu())
 
-    swap = _canonical_orientation(cfg)
-    if swap:
-        solve_cfg = replace(cfg, vortices=cfg.vortices.swapped())
-        solve_bg = user_bg.swapped()
-    else:
-        solve_cfg, solve_bg = cfg, user_bg
-
-    problem, w1, w2, exps, history = _solve_canonical(solve_cfg, solve_bg, initial_state)
-    u1, u2, exp_u1, exp_u2, v1, v2 = _recover_fields(problem, w1, w2, exps)
+    problem, w1, w2, exps, history = _minimize(cfg, bg, initial_state)
+    u1, u2, exp_u1, exp_u2 = _recover_fields(problem, w1, w2, exps)
     final = history[-1]
-
-    if swap:
-        u1, u2 = u2, u1
-        exp_u1, exp_u2 = exp_u2, exp_u1
-        v1, v2 = v2, v1
-        # re-express the state in the caller's species order
-        w1, w2 = choleski_forward_values(v1, v2, cfg.coupling)
 
     grid = cfg.grid
     state = State(ScalarField(grid, w1), ScalarField(grid, w2))
@@ -520,7 +502,7 @@ def newton_solve(cfg: SolveConfig, bg: BackgroundData | None = None,
         functional_value=final.functional,
         history=tuple(history),
         config=cfg,
-        background=user_bg,
+        background=bg,
     )
 
 
@@ -529,7 +511,10 @@ def newton_solve(cfg: SolveConfig, bg: BackgroundData | None = None,
 def functional_value(state: State, cfg: SolveConfig, bg: BackgroundData) -> float:
     """Discrete value of the convex functional at the given state."""
     problem = _Problem(cfg, bg)
-    return problem.evaluate(state.w1.values, state.w2.values)[2]
+    w1, w2 = state.w1.values, state.w2.values
+    # the plane's quadratic part is the edge energy: it reads no -Lap w
+    nlap = problem.neg_laplacian(w1, w2) if problem.torus else None
+    return problem.value(w1, w2, problem.exponentials(w1, w2), nlap)
 
 
 def functional_gradient(state: State, cfg: SolveConfig, bg: BackgroundData) -> tuple[ScalarField, ScalarField]:

@@ -136,7 +136,7 @@ def test_solver_value_error_exit_3(tmp_path, monkeypatch, capsys, mode):
 
 
 def test_config_value_error_exit_1(tmp_path, monkeypatch, capsys):
-    # SolveConfig rejects bad solver settings before any solve starts
+    # non-finite numbers and bad solver settings are refused before any solve
     def unreachable(cfg):
         raise AssertionError("newton_solve must not run on an invalid config")
 
@@ -144,6 +144,10 @@ def test_config_value_error_exit_1(tmp_path, monkeypatch, capsys):
     for overrides, message in (
         ({"armijo_backtrack": 1.5}, "backtracking factor"),
         ({"cg_max_iter": 0}, "cg_max_iter"),
+        ({"p": float("nan")}, "'p'"),
+        ({"vortices": {"up": [[float("inf"), 1.9, 1]]}}, "vortices.up"),
+        ({"tol_residual": float("nan")}, "tol_residual"),
+        ({"armijo_c": 1.5}, "armijo_c"),
     ):
         path = write_config(tmp_path, torus_config(**overrides))
         assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 1

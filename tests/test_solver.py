@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,7 +134,7 @@ def test_pcg_direction_solves_explicit_hessian(setup, rng):
     g1, g2 = problem.gradient(exps, problem.neg_laplacian(w1, w2))
     mult = problem.hessian_multipliers(*exps)
     tol = 1e-8
-    d1, d2, its = solver._pcg(problem, mult, -g1, -g2, cfg.coupling.lambda0 / 2.0, tol, 400)
+    d1, d2, its = solver._pcg(problem, mult, -g1, -g2, tol, 400)
     assert 0 < its < 400
     h1, h2 = vl.hessian_matvec(state, (vl.ScalarField(cfg.grid, d1), vl.ScalarField(cfg.grid, d2)),
                                cfg, bg)
@@ -288,7 +289,7 @@ def test_newton_converges_and_descends(torus_solution):
     assert all(b <= a + noise for a, b in zip(values, values[1:]))
     # converged gradient maps to a small original-system residual
     g1, g2 = vl.functional_gradient(sol.state, cfg, sol.background)
-    r1, r2 = vl.choleski_inverse(g1, g2, cfg.coupling)
+    r1, r2 = vl.eigen_inverse(g1, g2, cfg.coupling)
     assert max(np.max(np.abs(r1.values)), np.max(np.abs(r2.values))) <= 10 * cfg.tol_residual
 
 
@@ -308,18 +309,72 @@ def test_uniqueness_from_random_start(torus_solution, rng):
     assert np.max(np.abs(sol.u2.values - sol2.u2.values)) < 1e-8
 
 
+def _exchange_plane_case():
+    # mu below mu* = 32, q = 3 and a doubled vortex: nothing is symmetric
+    # except the exchange itself
+    k = vl.coupling_from_pq(1.0, 3.0)
+    vortices = vl.VortexSet(up=((0.3, -0.4, 2),), down=((-0.8, 0.6, 1),))
+    cfg = vl.SolveConfig(coupling=k, vortices=vortices, domain=vl.DomainSpec.plane(9.0),
+                         grid=vl.Grid2D.dirichlet(9.0, 33, 33), mu=5.0)
+    return cfg, vl.newton_solve(cfg)
+
+
 def test_exchange_symmetry_is_bit_exact(torus_solution):
+    # exchanging the species swaps v1 and v2, which keeps w1 and negates w2;
+    # IEEE negation is exact, so the two solves agree bit for bit
+    for cfg, sol in (torus_solution, _exchange_plane_case()):
+        swapped = vl.newton_solve(replace(cfg, vortices=cfg.vortices.swapped()))
+        assert np.array_equal(sol.u1.values, swapped.u2.values)
+        assert np.array_equal(sol.u2.values, swapped.u1.values)
+        assert np.array_equal(sol.exp_u1.values, swapped.exp_u2.values)
+        assert np.array_equal(sol.exp_u2.values, swapped.exp_u1.values)
+        assert sol.history == swapped.history
+        assert np.array_equal(sol.state.w1.values, swapped.state.w1.values)
+        assert np.array_equal(sol.state.w2.values, -swapped.state.w2.values)
+
+
+def test_preconditioner_shifts_are_far_field_diagonal(torus_solution):
+    # the shifts are the diagonal of the Hessian multipliers at the reference
+    # exponentials: the vacuum on the plane, the cell means eta_i/|Omega| on
+    # the torus
+    cfg, bg = small_plane_setup()
+    problem = solver._Problem(cfg, bg)
+    a11, a12, a22 = problem.hessian_multipliers(np.ones(cfg.grid.shape), np.ones(cfg.grid.shape))
+    assert not a12.any()
+    assert problem.shifts == pytest.approx((a11[0, 0], a22[0, 0]), rel=1e-14)
+    k = cfg.coupling
+    assert problem.shifts == pytest.approx((2.0 * k.lambda1, 2.0 * k.lambda2), rel=1e-14)
+
     cfg, sol = torus_solution
-    swapped_cfg = vl.SolveConfig(
-        coupling=cfg.coupling,
-        vortices=cfg.vortices.swapped(),
-        domain=cfg.domain,
-        grid=cfg.grid,
-    )
-    swapped = vl.newton_solve(swapped_cfg)
-    assert np.array_equal(sol.u1.values, swapped.u2.values)
-    assert np.array_equal(sol.u2.values, swapped.u1.values)
-    assert np.array_equal(sol.exp_u1.values, swapped.exp_u2.values)
+    problem = solver._Problem(cfg, sol.background)
+    adm = vl.check_admissibility(cfg.coupling, cfg.vortices.n1, cfg.vortices.n2, cfg.domain.area)
+    shape = cfg.grid.shape
+    a11, _, a22 = problem.hessian_multipliers(np.full(shape, adm.eta1 / cfg.domain.area),
+                                              np.full(shape, adm.eta2 / cfg.domain.area))
+    assert problem.shifts == pytest.approx((a11[0, 0], a22[0, 0]), rel=1e-14)
+    # at the solution the flux identities make the cell mean of a11 the shift
+    a11 = problem.hessian_multipliers(sol.exp_u1.values, sol.exp_u2.values)[0]
+    assert float(np.mean(a11)) == pytest.approx(problem.shifts[0], rel=1e-10)
+
+
+@pytest.mark.parametrize("setup, laplacians", [(small_torus_setup, 2), (small_plane_setup, 0)],
+                         ids=["torus", "plane"])
+def test_functional_value_applies_laplacian_only_on_torus(setup, laplacians, monkeypatch, rng):
+    # the plane's quadratic part is the edge energy, which reads no -Lap w
+    cfg, bg = setup()
+    state = random_state(cfg, rng)
+    calls = []
+    laplacian = solver.laplacian_values
+
+    def counted_laplacian(*args):
+        calls.append(True)
+        return laplacian(*args)
+
+    monkeypatch.setattr(solver, "laplacian_values", counted_laplacian)
+    value = vl.functional_value(state, cfg, bg)
+    assert len(calls) == laplacians
+    problem = solver._Problem(cfg, bg)
+    assert value == problem.evaluate(state.w1.values, state.w2.values)[2]
 
 
 def test_infeasible_torus_is_refused():
