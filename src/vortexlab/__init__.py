@@ -38,7 +38,6 @@ from .discretization import (
 from .model import (
     AdmissibilityReport,
     CouplingMatrix,
-    DomainSpec,
     PhysicalParams,
     VortexSet,
     check_admissibility,

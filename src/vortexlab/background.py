@@ -28,7 +28,7 @@ import numpy as np
 
 from .discretization import Grid2D, ScalarField
 from .errors import NonPositiveMu
-from .model import DomainSpec, VortexSet
+from .model import VortexSet
 
 
 @dataclass
@@ -161,15 +161,14 @@ class TorusGreenEvaluator:
         return log_theta / (2.0 * np.pi) - y**2 / (2.0 * self.l1 * self.l2)
 
 
-def torus_green(domain: DomainSpec) -> TorusGreenEvaluator:
-    domain.require_torus()
-    nome = math.exp(-math.pi * domain.l2 / domain.l1)
+def torus_green(l1: float, l2: float) -> TorusGreenEvaluator:
+    nome = math.exp(-math.pi * l2 / l1)
     # worst case Im(u) = pi*L2/(2 L1): term n decays like nome^(n^2 - 1/4);
     # stop once below 1e-16
     n = 2
     while nome ** (n * n - 0.25) > 1e-16 and n < 64:
         n += 1
-    return TorusGreenEvaluator(l1=domain.l1, l2=domain.l2, nome=nome, series_terms=n + 1)
+    return TorusGreenEvaluator(l1=l1, l2=l2, nome=nome, series_terms=n + 1)
 
 
 def _torus_species(vortices, green: TorusGreenEvaluator, grid: Grid2D):
@@ -183,10 +182,9 @@ def _torus_species(vortices, green: TorusGreenEvaluator, grid: Grid2D):
     return np.exp(log_u0)
 
 
-def torus_background(vortices: VortexSet, domain: DomainSpec, grid: Grid2D) -> BackgroundData:
+def torus_background(vortices: VortexSet, grid: Grid2D) -> BackgroundData:
     """Green's-function background: Delta u0 = -4 pi N/|Omega| + 4 pi sum delta."""
-    domain.require_torus()
-    green = torus_green(domain)
+    green = torus_green(grid.require_torus().l1, grid.l2)
     return BackgroundData(
         exp_u0_up=ScalarField(grid, _torus_species(vortices.up, green, grid)),
         exp_u0_down=ScalarField(grid, _torus_species(vortices.down, green, grid)),
@@ -194,9 +192,10 @@ def torus_background(vortices: VortexSet, domain: DomainSpec, grid: Grid2D) -> B
     )
 
 
-def build_background(vortices: VortexSet, domain: DomainSpec, grid: Grid2D,
-                     mu: float | None = None) -> BackgroundData:
-    """Dispatch on the domain kind; mu is only meaningful on the plane."""
-    if domain.is_torus:
-        return torus_background(vortices, domain, grid)
+def build_background(vortices: VortexSet, grid: Grid2D, mu: float | None = None) -> BackgroundData:
+    """Background on the domain the grid samples: the Green's-function one on a
+    periodic cell, the mu-regularized one on a truncation square (mu defaults
+    to ``default_mu`` and is only meaningful there)."""
+    if grid.is_torus:
+        return torus_background(vortices, grid)
     return plane_background(vortices, mu if mu is not None else default_mu(vortices), grid)

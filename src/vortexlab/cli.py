@@ -38,7 +38,6 @@ from .errors import (
     VortexLabError,
 )
 from .model import (
-    DomainSpec,
     PhysicalParams,
     VortexSet,
     check_admissibility,
@@ -213,19 +212,16 @@ def _build_problem(resolved: dict):
     dom = resolved["domain"]
     nx, ny = resolved["grid"]["nx"], resolved["grid"]["ny"]
     if dom["kind"] == "torus":
-        domain = DomainSpec.torus(dom["L1"], dom["L2"])
         grid = Grid2D.periodic(dom["L1"], dom["L2"], nx, ny)
     else:
-        domain = DomainSpec.plane(dom["R"])
         grid = Grid2D.dirichlet(dom["R"], nx, ny)
     try:
-        validate_vortex_positions(vortices, domain)
+        validate_vortex_positions(vortices, grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     cfg = SolveConfig(
         coupling=k,
         vortices=vortices,
-        domain=domain,
         grid=grid,
         mu=resolved["mu"],
         **{key: resolved[key] for key in _SOLVER_DEFAULTS},
@@ -234,12 +230,12 @@ def _build_problem(resolved: dict):
 
 
 def _admissibility_dict(cfg: SolveConfig) -> dict:
-    return asdict(check_admissibility(cfg.coupling, cfg.vortices.n1, cfg.vortices.n2, cfg.domain.area))
+    return asdict(check_admissibility(cfg.coupling, cfg.vortices.n1, cfg.vortices.n2, cfg.grid.area))
 
 
 def run_check(resolved: dict, out_dir: Path) -> int:
     _, cfg = _build_problem(resolved)
-    cfg.domain.require_torus()
+    cfg.grid.require_torus()
     adm = _admissibility_dict(cfg)
     write_json(out_dir / "admissibility.json", adm)
     return 0 if adm["feasible"] else 2
@@ -256,7 +252,7 @@ def _solution_report(resolved: dict, params, cfg, sol) -> dict:
     }
     return {
         "config": resolved,
-        "admissibility": _admissibility_dict(cfg) if cfg.domain.is_torus else None,
+        "admissibility": _admissibility_dict(cfg) if cfg.grid.is_torus else None,
         "solve": {
             "converged": True,
             "newton_iterations": sol.newton_iterations,
@@ -270,7 +266,7 @@ def _solution_report(resolved: dict, params, cfg, sol) -> dict:
 
 def _emit_profiles(out_dir: Path, cfg, sol) -> None:
     grid = cfg.grid
-    r_half = cfg.domain.half_width
+    r_half = grid.half_width
     radii = np.linspace(0.1 * r_half, 0.95 * r_half, 64)
     u1 = diagnostics.ring_means(grid, sol.u1.values, radii)
     u2 = diagnostics.ring_means(grid, sol.u2.values, radii)
@@ -297,14 +293,14 @@ def run_solve(resolved: dict, out_dir: Path) -> int:
         write_fld(out_dir / "u2.fld", sol.u2)
         maps = diagnostics.field_maps(sol, params)
         write_fld(out_dir / "B12.fld", maps["B12"])
-    if resolved["emit_profiles"] and not cfg.domain.is_torus:
+    if resolved["emit_profiles"] and not cfg.grid.is_torus:
         _emit_profiles(out_dir, cfg, sol)
     return 0
 
 
 def run_oracle_compare(resolved: dict, out_dir: Path) -> int:
     params, cfg = _build_problem(resolved)
-    cfg.domain.require_plane()
+    cfg.grid.require_plane()
     for x, y, _ in cfg.vortices.up + cfg.vortices.down:
         if math.hypot(x, y) > 1e-9:
             raise NotRadiallyReducible(
@@ -312,7 +308,7 @@ def run_oracle_compare(resolved: dict, out_dir: Path) -> int:
             )
     n1, n2 = cfg.vortices.n1, cfg.vortices.n2
     k = cfg.coupling
-    r_half = cfg.domain.half_width
+    r_half = cfg.grid.half_width
     rmax = max(r_half, 20.0 / k.decay_rate)
     # the oracle needs no 2D solution: a bad oracle mesh fails before the solve
     r_oracle, u1_oracle, u2_oracle = radial_oracle(k, n1, n2, rmax, mesh=resolved["oracle_mesh"])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import Grid2D, GridKind, ScalarField, integrate
+from .discretization import Grid2D, ScalarField, integrate
 from .errors import InsufficientDecayWindow
 from .model import PhysicalParams, VortexSet, eigen_inverse
 from .solver import LOG2, Solution, functional_gradient
@@ -56,7 +56,7 @@ def flux_report(sol: Solution) -> tuple[float, float]:
 
 def eta_report(sol: Solution) -> tuple[float, float]:
     """Measured exponential masses; must match the closed forms eta1, eta2."""
-    sol.config.domain.require_torus()
+    sol.config.grid.require_torus()
     return integrate(sol.exp_u1), integrate(sol.exp_u2)
 
 
@@ -135,7 +135,7 @@ def decay_fit(sol: Solution, n_rings: int = 32, n_angles: int = 720) -> DecayFit
     The fit annulus is r in [0.5 R, 0.8 R]; the theorem guarantees a rate of
     at least (1-eps) sqrt(lambda0).
     """
-    r_half = sol.config.domain.require_plane().half_width
+    r_half = sol.config.grid.require_plane().half_width
     r_lo, r_hi = 0.5 * r_half, 0.8 * r_half
     grid = sol.u1.grid
     radii = np.linspace(r_lo, r_hi, n_rings)
@@ -186,14 +186,13 @@ def field_maps(sol: Solution, params: PhysicalParams) -> dict[str, ScalarField]:
 def _vortex_cell_mask(grid: Grid2D, vortices: VortexSet, halo: int = 2) -> np.ndarray:
     """True on nodes within ``halo`` cells of a vortex (delta sources live there)."""
     mask = np.zeros(grid.shape, dtype=bool)
-    periodic = grid.kind is GridKind.PERIODIC_CELL
     for x, y, _ in vortices.up + vortices.down:
         ix = int(round((x - grid.x0) / grid.hx))
         iy = int(round((y - grid.y0) / grid.hy))
         for dy in range(-halo, halo + 1):
             for dx in range(-halo, halo + 1):
                 jx, jy = ix + dx, iy + dy
-                if periodic:
+                if grid.is_torus:
                     mask[jy % grid.ny, jx % grid.nx] = True
                 elif 0 <= jx < grid.nx and 0 <= jy < grid.ny:
                     mask[jy, jx] = True
@@ -212,7 +211,7 @@ def residual_norm(sol: Solution) -> float:
     g1, g2 = functional_gradient(sol.state, cfg, sol.background)
     r1, r2 = eigen_inverse(g1, g2, cfg.coupling)
     mask = _vortex_cell_mask(cfg.grid, cfg.vortices)
-    if not cfg.domain.is_torus:
+    if not cfg.grid.is_torus:
         mask[0, :] = mask[-1, :] = True
         mask[:, 0] = mask[:, -1] = True
     keep = ~mask
@@ -228,7 +227,7 @@ def build_report(sol: Solution, params: PhysicalParams) -> DiagnosticsReport:
     res = residual_norm(sol)
     eta1 = eta2 = None
     rate = r2 = grate = gr2 = None
-    if cfg.domain.is_torus:
+    if cfg.grid.is_torus:
         eta1, eta2 = eta_report(sol)
     else:
         try:

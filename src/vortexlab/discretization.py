@@ -24,7 +24,7 @@ import numpy as np
 import scipy.fft
 import scipy.linalg.lapack
 
-from .errors import GridMismatch, NonPositiveShift
+from .errors import GridMismatch, NonPositiveShift, WrongDomainKind
 
 
 class GridKind(enum.Enum):
@@ -38,7 +38,12 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Uniform tensor grid; arrays over it are indexed [iy, ix], row-major."""
+    """Uniform tensor grid; arrays over it are indexed [iy, ix], row-major.
+
+    The grid is the domain: a periodic grid samples the L1 x L2 torus cell
+    (L1 = hx*nx, L2 = hy*ny, exact since nx and ny are powers of two), a
+    Dirichlet grid the [-R, R]^2 truncation square of the plane (R = -x0).
+    """
 
     nx: int
     ny: int
@@ -50,6 +55,8 @@ class Grid2D:
 
     @staticmethod
     def periodic(l1: float, l2: float, nx: int, ny: int) -> "Grid2D":
+        if not (l1 > 0 and l2 > 0):
+            raise ValueError("cell sides must be positive")
         # power-of-two sizes keep the FFT path exact and fast
         if not (_is_power_of_two(nx) and _is_power_of_two(ny)):
             raise ValueError("periodic grids require power-of-two nx, ny")
@@ -57,11 +64,49 @@ class Grid2D:
 
     @staticmethod
     def dirichlet(half_width: float, nx: int, ny: int) -> "Grid2D":
+        if not half_width > 0:
+            raise ValueError("half width must be positive")
         if nx < 4 or ny < 4:
             raise ValueError("dirichlet grids need at least a 4x4 node set")
         h_x = 2.0 * half_width / (nx - 1)
         h_y = 2.0 * half_width / (ny - 1)
         return Grid2D(nx, ny, -half_width, -half_width, h_x, h_y, GridKind.DIRICHLET_SQUARE)
+
+    @property
+    def is_torus(self) -> bool:
+        return self.kind is GridKind.PERIODIC_CELL
+
+    @property
+    def l1(self) -> float:
+        """Cell side in x of a periodic grid."""
+        return self.hx * self.nx
+
+    @property
+    def l2(self) -> float:
+        """Cell side in y of a periodic grid."""
+        return self.hy * self.ny
+
+    @property
+    def half_width(self) -> float:
+        """R of a Dirichlet grid's [-R, R]^2 square."""
+        return -self.x0
+
+    @property
+    def area(self) -> float:
+        """|Omega|: the cell area on the torus, (2R)^2 on the plane."""
+        if self.is_torus:
+            return self.l1 * self.l2
+        return (2.0 * self.half_width) ** 2
+
+    def require_torus(self) -> "Grid2D":
+        if not self.is_torus:
+            raise WrongDomainKind("operation requires a doubly periodic domain")
+        return self
+
+    def require_plane(self) -> "Grid2D":
+        if self.is_torus:
+            raise WrongDomainKind("operation requires a truncated-plane domain")
+        return self
 
     @property
     def shape(self) -> tuple[int, int]:

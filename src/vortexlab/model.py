@@ -1,4 +1,7 @@
-"""Problem data: couplings, vortex configurations, domains, admissibility.
+"""Problem data: couplings, vortex configurations, admissibility.
+
+The domain is not restated here: a ``discretization.Grid2D`` is either the
+torus cell or the truncation square of the plane.
 
 Everything here is dimensionless.  The two coupling constants (p, q) enter
 only through the symmetric 2x2 matrix
@@ -15,15 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .discretization import ScalarField, require_same_grid
-from .errors import (
-    DecoupledSystem,
-    NotPositiveDefinite,
-    UnphysicalCoupling,
-    WrongDomainKind,
-)
+from .discretization import Grid2D, ScalarField, require_same_grid
+from .errors import DecoupledSystem, NotPositiveDefinite, UnphysicalCoupling
 
 
 @dataclass(frozen=True)
@@ -160,57 +156,13 @@ def merge_coincident(vortices, tol: float = 1e-12) -> tuple[Vortex, ...]:
     return tuple((x, y, m) for x, y, m in merged)
 
 
-# -- Domains ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DomainSpec:
-    """Either a doubly periodic L1 x L2 cell or a [-R, R]^2 truncation square."""
-
-    kind: str  # "torus" | "plane"
-    l1: float = 0.0
-    l2: float = 0.0
-    half_width: float = 0.0
-
-    @staticmethod
-    def torus(l1: float, l2: float) -> "DomainSpec":
-        if l1 <= 0 or l2 <= 0:
-            raise ValueError("cell sides must be positive")
-        return DomainSpec(kind="torus", l1=float(l1), l2=float(l2))
-
-    @staticmethod
-    def plane(half_width: float) -> "DomainSpec":
-        if half_width <= 0:
-            raise ValueError("half width must be positive")
-        return DomainSpec(kind="plane", half_width=float(half_width))
-
-    @property
-    def is_torus(self) -> bool:
-        return self.kind == "torus"
-
-    @property
-    def area(self) -> float:
-        if self.is_torus:
-            return self.l1 * self.l2
-        return (2.0 * self.half_width) ** 2
-
-    def require_torus(self) -> "DomainSpec":
-        if not self.is_torus:
-            raise WrongDomainKind("operation requires a doubly periodic domain")
-        return self
-
-    def require_plane(self) -> "DomainSpec":
-        if self.is_torus:
-            raise WrongDomainKind("operation requires a truncated-plane domain")
-        return self
-
-
-def validate_vortex_positions(vortices: VortexSet, domain: DomainSpec) -> None:
+def validate_vortex_positions(vortices: VortexSet, grid: Grid2D) -> None:
     for x, y, _ in vortices.up + vortices.down:
-        if domain.is_torus:
-            if not (0.0 <= x < domain.l1 and 0.0 <= y < domain.l2):
+        if grid.is_torus:
+            if not (0.0 <= x < grid.l1 and 0.0 <= y < grid.l2):
                 raise ValueError(f"vortex ({x}, {y}) outside the fundamental cell")
         else:
-            r = domain.half_width
+            r = grid.half_width
             if not (-r < x < r and -r < y < r):
                 raise ValueError(f"vortex ({x}, {y}) outside the truncation square")
 

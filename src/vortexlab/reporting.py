@@ -4,10 +4,14 @@ report.json: canonical JSON with keys sorted alphabetically and every float
 printed with 17 significant digits (round-trips exactly).  Field dumps use the
 ASCII ``.fld`` layout:
 
-    vortexfld 1
+    vortexfld 2 <grid kind: periodic_cell | dirichlet_square>
     nx ny
     x0 y0 hx hy
     <nx*ny values, row-major, one per line>
+
+so a dump reads back as the same field on the same grid, kind included.
+Version 1 files, whose first line is ``vortexfld 1``, are laid out the same
+but do not record the kind; reading one takes it as an argument.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ def write_fld(path: Path, field: ScalarField) -> None:
     if not np.all(np.isfinite(values)):
         raise ValueError("refusing to serialize a non-finite number")
     with open(path, "w", encoding="ascii") as f:
-        f.write("vortexfld 1\n")
+        f.write(f"vortexfld 2 {grid.kind.value}\n")
         f.write(f"{grid.nx} {grid.ny}\n")
         f.write(f"{format_float(grid.x0)} {format_float(grid.y0)} "
                 f"{format_float(grid.hx)} {format_float(grid.hy)}\n")
@@ -91,11 +95,23 @@ def write_fld(path: Path, field: ScalarField) -> None:
             f.write(row_format % tuple(row.tolist()))
 
 
-def read_fld(path: Path, kind: GridKind) -> ScalarField:
-    """Read a ``.fld`` dump; the v1 header does not record the grid kind."""
+def read_fld(path: Path, kind: GridKind | None = None) -> ScalarField:
+    """Read a ``.fld`` dump.
+
+    A v2 file carries its grid kind; ``kind``, if given, must agree with it.
+    A v1 file does not, so ``kind`` is required there.
+    """
     lines = Path(path).read_text(encoding="ascii").splitlines()
-    if lines[0] != "vortexfld 1":
+    header = lines[0].split(" ") if lines else []
+    if header[:2] == ["vortexfld", "2"] and len(header) == 3:
+        stored = GridKind(header[2])
+        if kind not in (None, stored):
+            raise ValueError(f"{path} holds a {stored.value} grid, not {kind.value}")
+        kind = stored
+    elif header != ["vortexfld", "1"]:
         raise ValueError(f"not a vortexfld file: {path}")
+    elif kind is None:
+        raise ValueError(f"{path} is a v1 .fld file, which does not record its grid kind: pass kind")
     nx, ny = (int(t) for t in lines[1].split())
     x0, y0, hx, hy = (float(t) for t in lines[2].split())
     values = np.array([float(t) for t in lines[3:3 + nx * ny]]).reshape(ny, nx)

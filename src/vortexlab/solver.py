@@ -65,13 +65,7 @@ from .background import (
     plane_log_u0_shift,
     plane_source,
 )
-from .discretization import (
-    Grid2D,
-    GridKind,
-    ScalarField,
-    laplacian_values,
-    solve_shifted_poisson,
-)
+from .discretization import Grid2D, ScalarField, laplacian_values, solve_shifted_poisson
 from .errors import (
     ConvergenceFailure,
     ExponentOverflow,
@@ -81,7 +75,6 @@ from .errors import (
 )
 from .model import (
     CouplingMatrix,
-    DomainSpec,
     VortexSet,
     check_admissibility,
     eigen_forward_values,
@@ -98,8 +91,7 @@ LOG_ZERO = -800.0  # stands in for ln(0) at exact vortex nodes; exp(-800.) == 0.
 class SolveConfig:
     coupling: CouplingMatrix
     vortices: VortexSet
-    domain: DomainSpec
-    grid: Grid2D
+    grid: Grid2D  # the domain: a periodic grid is the torus cell, a Dirichlet grid the plane's square
     mu: float | None = None  # plane only; defaults to 16*max(1, N1, N2)
     tol_residual: float = 1e-10
     max_newton: int = 50
@@ -109,7 +101,8 @@ class SolveConfig:
     armijo_backtrack: float = 0.5
 
     def __post_init__(self):
-        if min(self.tol_residual, self.cg_tol) <= 0:
+        # written so that NaN fails
+        if not (self.tol_residual > 0 and self.cg_tol > 0):
             raise ValueError("tolerances must be positive")
         if not 0 < self.armijo_c < 1:
             raise ValueError("armijo_c must lie in (0, 1)")
@@ -119,19 +112,8 @@ class SolveConfig:
             raise ValueError("max_newton must be >= 1")
         if self.cg_max_iter < 1:
             raise ValueError("cg_max_iter must be >= 1")
-        if self.domain.is_torus:
-            if self.grid.kind is not GridKind.PERIODIC_CELL:
-                raise ValueError("torus domain requires a periodic grid")
-            if abs(self.grid.hx * self.grid.nx - self.domain.l1) > 1e-9 * self.domain.l1:
-                raise ValueError("grid does not tile the cell in x")
-            if abs(self.grid.hy * self.grid.ny - self.domain.l2) > 1e-9 * self.domain.l2:
-                raise ValueError("grid does not tile the cell in y")
-        else:
-            if self.grid.kind is not GridKind.DIRICHLET_SQUARE:
-                raise ValueError("plane domain requires a dirichlet grid")
-            r = self.domain.half_width
-            if abs(self.grid.x0 + r) > 1e-9 * r or abs(self.grid.hx * (self.grid.nx - 1) - 2 * r) > 1e-9 * r:
-                raise ValueError("grid does not cover the truncation square")
+        if self.mu is not None and self.grid.is_torus:
+            raise ValueError("mu applies only to plane domains")
 
     def resolved_mu(self) -> float:
         return self.mu if self.mu is not None else default_mu(self.vortices)
@@ -160,6 +142,7 @@ class Solution:
 
     ``final_residual`` and ``functional_value`` refer to the transformed
     system; ``final_residual`` is the inf-norm of its gradient in (w1, w2).
+    All three summaries read the last entry of ``history``.
     """
 
     u1: ScalarField
@@ -167,12 +150,21 @@ class Solution:
     exp_u1: ScalarField  # e^{u1} with exact zeros at on-node vortices
     exp_u2: ScalarField
     state: State
-    newton_iterations: int
-    final_residual: float
-    functional_value: float
     history: tuple[NewtonStep, ...]
     config: SolveConfig
     background: BackgroundData
+
+    @property
+    def newton_iterations(self) -> int:
+        return self.history[-1].iteration
+
+    @property
+    def final_residual(self) -> float:
+        return self.history[-1].residual_inf
+
+    @property
+    def functional_value(self) -> float:
+        return self.history[-1].functional
 
 
 def default_plane_half_width(k: CouplingMatrix, vortices: VortexSet) -> float:
@@ -186,7 +178,7 @@ class _Problem:
     def __init__(self, cfg: SolveConfig, bg: BackgroundData):
         k = self.k = cfg.coupling
         self.grid = cfg.grid
-        self.torus = cfg.domain.is_torus
+        self.torus = cfg.grid.is_torus
         self.a1 = bg.exp_u0_up.values
         self.a2 = bg.exp_u0_down.values
         kappa = self.coef_value = (4.0 if self.torus else 2.0) * k.k11 / k.det
@@ -195,7 +187,7 @@ class _Problem:
         self.coef_g = (kappa * alpha, kappa * beta)
         self.coef_a = (kappa * alpha * alpha, kappa * alpha * beta, kappa * beta * beta)
 
-        area = cfg.domain.area
+        area = cfg.grid.area
         n1, n2 = cfg.vortices.n1, cfg.vortices.n2
         if self.torus:
             report = check_admissibility(k, n1, n2, area)
@@ -481,13 +473,12 @@ def newton_solve(cfg: SolveConfig, bg: BackgroundData | None = None,
     ``initial_state`` overrides the starting iterate (testing hook; by strict
     convexity the minimizer does not depend on it).
     """
-    validate_vortex_positions(cfg.vortices, cfg.domain)
+    validate_vortex_positions(cfg.vortices, cfg.grid)
     if bg is None:
-        bg = build_background(cfg.vortices, cfg.domain, cfg.grid, mu=cfg.resolved_mu())
+        bg = build_background(cfg.vortices, cfg.grid, mu=cfg.resolved_mu())
 
     problem, w1, w2, exps, history = _minimize(cfg, bg, initial_state)
     u1, u2, exp_u1, exp_u2 = _recover_fields(problem, w1, w2, exps)
-    final = history[-1]
 
     grid = cfg.grid
     state = State(ScalarField(grid, w1), ScalarField(grid, w2))
@@ -497,9 +488,6 @@ def newton_solve(cfg: SolveConfig, bg: BackgroundData | None = None,
         exp_u1=ScalarField(grid, exp_u1),
         exp_u2=ScalarField(grid, exp_u2),
         state=state,
-        newton_iterations=final.iteration,
-        final_residual=final.residual_inf,
-        functional_value=final.functional,
         history=tuple(history),
         config=cfg,
         background=bg,

@@ -38,7 +38,6 @@ def torus_run():
     cfg = vl.SolveConfig(
         coupling=k,
         vortices=vortices,
-        domain=vl.DomainSpec.torus(l, l),
         grid=vl.Grid2D.periodic(l, l, 128, 128),
     )
     t0 = time.perf_counter()
@@ -55,7 +54,6 @@ def plane_run():
     cfg = vl.SolveConfig(
         coupling=k,
         vortices=vortices,
-        domain=vl.DomainSpec.plane(r_half),
         grid=vl.Grid2D.dirichlet(r_half, 256, 256),
     )
     t0 = time.perf_counter()
@@ -68,7 +66,6 @@ def test_criterion_01_vacuum_exactness():
     cfg = vl.SolveConfig(
         coupling=k,
         vortices=vl.VortexSet(),
-        domain=vl.DomainSpec.plane(9.0),
         grid=vl.Grid2D.dirichlet(9.0, 128, 128),
     )
     t0 = time.perf_counter()
@@ -105,7 +102,7 @@ def test_criterion_04_eta_identities(torus_run):
     cfg, sol, _ = torus_run
     eta1, eta2 = vl.eta_report(sol)
     predicted = vl.check_admissibility(
-        cfg.coupling, cfg.vortices.n1, cfg.vortices.n2, cfg.domain.area
+        cfg.coupling, cfg.vortices.n1, cfg.vortices.n2, cfg.grid.area
     )
     err1 = abs(eta1 - predicted.eta1) / predicted.eta1
     err2 = abs(eta2 - predicted.eta2) / predicted.eta2
@@ -135,8 +132,7 @@ def test_criterion_06_feasibility_gate():
             down=((0.5 * l, 0.52 * l, 1),),
         )
         return vl.SolveConfig(
-            coupling=k, vortices=vortices, domain=vl.DomainSpec.torus(l, l),
-            grid=vl.Grid2D.periodic(l, l, 64, 64),
+            coupling=k, vortices=vortices, grid=vl.Grid2D.periodic(l, l, 64, 64),
         )
 
     refused = False
@@ -233,12 +229,10 @@ def test_criterion_11_mu_independence():
     k = vl.coupling_from_pq(1.0, 2.0)
     vortices = vl.VortexSet(up=((0.0, 0.0, 1),))
     r_half = vl.default_plane_half_width(k, vortices)
-    domain = vl.DomainSpec.plane(r_half)
     grid = vl.Grid2D.dirichlet(r_half, 128, 128)
     mus = (4.0, 16.0, 64.0)
     solutions = [
-        vl.newton_solve(vl.SolveConfig(coupling=k, vortices=vortices, domain=domain,
-                                       grid=grid, mu=mu))
+        vl.newton_solve(vl.SolveConfig(coupling=k, vortices=vortices, grid=grid, mu=mu))
         for mu in mus
     ]
     dev = 0.0
@@ -258,8 +252,7 @@ def test_criterion_11_mu_independence():
 def test_criterion_12_exchange_symmetry(torus_run):
     cfg, sol, _ = torus_run
     swapped_cfg = vl.SolveConfig(
-        coupling=cfg.coupling, vortices=cfg.vortices.swapped(),
-        domain=cfg.domain, grid=cfg.grid,
+        coupling=cfg.coupling, vortices=cfg.vortices.swapped(), grid=cfg.grid,
     )
     swapped = vl.newton_solve(swapped_cfg)
     ok = (

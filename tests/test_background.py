@@ -96,7 +96,7 @@ def test_plane_log_shift_is_smooth_and_consistent():
 
 @pytest.fixture(scope="module")
 def green():
-    return vl.torus_green(vl.DomainSpec.torus(2 * np.pi, 2 * np.pi))
+    return vl.torus_green(2 * np.pi, 2 * np.pi)
 
 
 def test_green_double_periodicity(green, rng):
@@ -174,7 +174,7 @@ def test_green_separable_matches_meshgrid(green):
 
 def test_green_tall_cell_finite_and_periodic():
     # L2/L1 = 40: nome^((n+1/2)^2) underflows where cosh((2n+1)b) overflows
-    green = vl.torus_green(vl.DomainSpec.torus(1.0, 40.0))
+    green = vl.torus_green(1.0, 40.0)
     grid = vl.Grid2D.periodic(1.0, 40.0, 64, 64)
     xg, yg = grid.meshgrid()
     x, y = xg - 0.3, yg - 7.1
@@ -182,7 +182,7 @@ def test_green_tall_cell_finite_and_periodic():
     assert np.all(np.isfinite(base))
     assert np.max(np.abs(green.greens(x + green.l1, y) - base)) < 1e-10
     assert np.max(np.abs(green.greens(x, y + green.l2) - base)) < 1e-10
-    bg = torus_background(vl.VortexSet(up=((0.3, 7.1, 1),)), vl.DomainSpec.torus(1.0, 40.0), grid)
+    bg = torus_background(vl.VortexSet(up=((0.3, 7.1, 1),)), grid)
     assert np.all(np.isfinite(bg.exp_u0_up.values))
 
 
@@ -190,7 +190,7 @@ def test_green_tall_cell_finite_and_periodic():
 def test_green_series_length_from_bound(aspect, rng):
     # the series stops at its own 1e-16 bound: 5 terms on a square cell,
     # and the terms a longer series adds are below rounding
-    green = vl.torus_green(vl.DomainSpec.torus(2 * np.pi, aspect * 2 * np.pi))
+    green = vl.torus_green(2 * np.pi, aspect * 2 * np.pi)
     if aspect == 1.0:
         assert green.series_terms == 5
     longer = dataclasses.replace(green, series_terms=8)
@@ -203,25 +203,23 @@ def test_green_series_length_from_bound(aspect, rng):
     assert np.array_equal(green.greens(xs, ys), longer.greens(xs, ys))
 
 
-def test_green_requires_torus():
+def test_torus_background_requires_torus():
     with pytest.raises(WrongDomainKind):
-        vl.torus_green(vl.DomainSpec.plane(3.0))
+        torus_background(vl.VortexSet(), vl.Grid2D.dirichlet(3.0, 8, 8))
 
 
 # -- Torus backgrounds ----------------------------------------------------------------
 
 def test_torus_vacuum_background():
-    dom = vl.DomainSpec.torus(2 * np.pi, 2 * np.pi)
-    grid = vl.Grid2D.periodic(dom.l1, dom.l2, 32, 32)
-    bg = torus_background(vl.VortexSet(), dom, grid)
+    grid = vl.Grid2D.periodic(2 * np.pi, 2 * np.pi, 32, 32)
+    bg = torus_background(vl.VortexSet(), grid)
     assert np.all(bg.exp_u0_up.values == 1.0)
 
 
 def test_torus_background_max_normalized():
-    dom = vl.DomainSpec.torus(2 * np.pi, 2 * np.pi)
-    grid = vl.Grid2D.periodic(dom.l1, dom.l2, 32, 32)
+    grid = vl.Grid2D.periodic(2 * np.pi, 2 * np.pi, 32, 32)
     vs = vl.VortexSet(up=((1.0, 1.0, 2),), down=((2.0, 3.0, 1),))
-    bg = torus_background(vs, dom, grid)
+    bg = torus_background(vs, grid)
     assert np.all(bg.exp_u0_up.values <= 1.0)
     assert np.max(bg.exp_u0_up.values) == 1.0  # max-normalized
     assert np.max(bg.exp_u0_down.values) == 1.0
@@ -229,7 +227,6 @@ def test_torus_background_max_normalized():
 
 def test_torus_vortex_winding_charge(green):
     # flux of grad(u0) through a small circle around an m=1 vortex is 4 pi
-    dom = vl.DomainSpec.torus(green.l1, green.l2)
     px, py = 2.0, 3.0
     radius, eps, n_angles = 0.3, 1e-5, 256
     theta = (np.arange(n_angles) + 0.5) * 2 * np.pi / n_angles
@@ -242,51 +239,47 @@ def test_torus_vortex_winding_charge(green):
     radial_derivative = (outer - inner) / (2 * eps)
     flux = radial_derivative.mean() * 2 * np.pi * radius
     # interior area term contributes -4 pi r^2 pi / |Omega|
-    expected = 4 * np.pi - 4 * np.pi * np.pi * radius**2 / dom.area
+    expected = 4 * np.pi - 4 * np.pi * np.pi * radius**2 / (green.l1 * green.l2)
     assert flux == pytest.approx(expected, rel=1e-3)
 
 
 def test_torus_background_translation_equivariance():
-    dom = vl.DomainSpec.torus(2 * np.pi, 2 * np.pi)
-    grid = vl.Grid2D.periodic(dom.l1, dom.l2, 64, 64)
+    grid = vl.Grid2D.periodic(2 * np.pi, 2 * np.pi, 64, 64)
     vs = vl.VortexSet(up=((1.3, 2.1, 1), (4.0, 5.0, 1)))
-    shift = dom.l1 / 2  # exactly 32 grid cells
+    shift = grid.l1 / 2  # exactly 32 grid cells
     vs_shifted = vl.VortexSet(
-        up=tuple(((x + shift) % dom.l1, y, m) for x, y, m in vs.up)
+        up=tuple(((x + shift) % grid.l1, y, m) for x, y, m in vs.up)
     )
-    a = torus_background(vs, dom, grid).exp_u0_up.values
-    b = torus_background(vs_shifted, dom, grid).exp_u0_up.values
+    a = torus_background(vs, grid).exp_u0_up.values
+    b = torus_background(vs_shifted, grid).exp_u0_up.values
     assert np.max(np.abs(np.roll(a, 32, axis=1) - b)) < 1e-9
 
 
 def test_torus_background_matches_complex_series():
-    dom = vl.DomainSpec.torus(2 * np.pi, 2 * np.pi)
-    grid = vl.Grid2D.periodic(dom.l1, dom.l2, 64, 64)
+    grid = vl.Grid2D.periodic(2 * np.pi, 2 * np.pi, 64, 64)
     vs = vl.VortexSet(up=((1.3, 2.1, 1), (4.0, 5.0, 2)))
-    green = vl.torus_green(dom)
+    green = vl.torus_green(grid.l1, grid.l2)
     xg, yg = grid.meshgrid()
     log_u0 = sum(4 * np.pi * m * _complex_series_greens(green, xg - x, yg - y) for x, y, m in vs.up)
     expected = np.exp(log_u0 - np.max(log_u0))
-    bg = torus_background(vs, dom, grid)
+    bg = torus_background(vs, grid)
     assert np.max(np.abs(bg.exp_u0_up.values - expected)) < 1e-13
 
 
 def test_torus_background_exact_zero_on_node():
-    dom = vl.DomainSpec.torus(2 * np.pi, 2 * np.pi)
-    grid = vl.Grid2D.periodic(dom.l1, dom.l2, 32, 32)
+    grid = vl.Grid2D.periodic(2 * np.pi, 2 * np.pi, 32, 32)
     ix, iy = 7, 12
     vs = vl.VortexSet(up=((float(grid.xs[ix]), float(grid.ys[iy]), 1),))
-    bg = torus_background(vs, dom, grid)
+    bg = torus_background(vs, grid)
     assert bg.exp_u0_up.values[iy, ix] == 0.0
 
 
 def test_torus_background_laplacian_identity():
     # Delta u0 = -4 pi N1/|Omega| away from the vortices (4th-order stencil)
-    dom = vl.DomainSpec.torus(2 * np.pi, 2 * np.pi)
     n = 256
-    grid = vl.Grid2D.periodic(dom.l1, dom.l2, n, n)
+    grid = vl.Grid2D.periodic(2 * np.pi, 2 * np.pi, n, n)
     vs = vl.VortexSet(up=((1.9, 1.9, 1), (4.4, 3.5, 1)))
-    bg = torus_background(vs, dom, grid)
+    bg = torus_background(vs, grid)
     with np.errstate(divide="ignore"):
         u0 = np.log(bg.exp_u0_up.values)
     h = grid.hx
@@ -301,9 +294,9 @@ def test_torus_background_laplacian_identity():
     xs, ys = grid.meshgrid()
     dist = np.full(grid.shape, np.inf)
     for x, y, _ in vs.up:
-        dx = (xs - x + dom.l1 / 2) % dom.l1 - dom.l1 / 2
-        dy = (ys - y + dom.l2 / 2) % dom.l2 - dom.l2 / 2
+        dx = (xs - x + grid.l1 / 2) % grid.l1 - grid.l1 / 2
+        dy = (ys - y + grid.l2 / 2) % grid.l2 - grid.l2 / 2
         dist = np.minimum(dist, np.hypot(dx, dy))
     far = dist > 1.5
-    target = -4 * np.pi * vs.n1 / dom.area
+    target = -4 * np.pi * vs.n1 / grid.area
     assert np.max(np.abs(lap[far] - target)) < 1e-5 * abs(target)

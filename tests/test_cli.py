@@ -148,6 +148,8 @@ def test_config_value_error_exit_1(tmp_path, monkeypatch, capsys):
         ({"vortices": {"up": [[float("inf"), 1.9, 1]]}}, "vortices.up"),
         ({"tol_residual": float("nan")}, "tol_residual"),
         ({"armijo_c": 1.5}, "armijo_c"),
+        ({"domain": {"kind": "torus", "L1": 0.0, "L2": TORUS_L}}, "cell sides must be positive"),
+        ({"domain": {"kind": "plane", "R": -1.0}, "vortices": {}}, "half width must be positive"),
     ):
         path = write_config(tmp_path, torus_config(**overrides))
         assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 1
@@ -221,7 +223,7 @@ def test_fld_format_and_round_trip(tmp_path):
     path = write_config(tmp_path, cfg)
     assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "u1.fld").read_text().splitlines()
-    assert lines[0] == "vortexfld 1"
+    assert lines[0] == "vortexfld 2 periodic_cell"
     assert lines[1] == "32 32"
     assert len(lines) == 3 + 32 * 32
     assert (tmp_path / "B12.fld").exists()
@@ -362,9 +364,41 @@ def test_canonical_json_float_formatting():
 def test_fld_write_read_exact(tmp_path, rng, grid):
     field = vl.ScalarField(grid, rng.normal(size=grid.shape))
     write_fld(tmp_path / "f.fld", field)
-    back = read_fld(tmp_path / "f.fld", kind=grid.kind)
+    # a v2 file reads back its own kind; a kind given must agree with it
+    for kind in (None, grid.kind):
+        back = read_fld(tmp_path / "f.fld", kind=kind)
+        assert back.grid == field.grid
+        assert np.array_equal(back.values, field.values)
+
+
+def _write_v1(tmp_path, field):
+    """A version-1 dump of ``field``: the v2 layout under the old header."""
+    write_fld(tmp_path / "v2.fld", field)
+    lines = (tmp_path / "v2.fld").read_text().splitlines(keepends=True)
+    path = tmp_path / "v1.fld"
+    path.write_text("vortexfld 1\n" + "".join(lines[1:]))
+    return path
+
+
+def test_fld_v1_read_exact(tmp_path, rng):
+    grid = vl.Grid2D.dirichlet(3.0, 8, 8)
+    field = vl.ScalarField(grid, rng.normal(size=grid.shape))
+    back = read_fld(_write_v1(tmp_path, field), kind=vl.GridKind.DIRICHLET_SQUARE)
     assert back.grid == field.grid
     assert np.array_equal(back.values, field.values)
+
+
+def test_fld_v1_requires_kind(tmp_path):
+    field = vl.ScalarField(vl.Grid2D.periodic(1.0, 1.0, 4, 4), np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="does not record its grid kind"):
+        read_fld(_write_v1(tmp_path, field))
+
+
+def test_fld_kind_mismatch_raises(tmp_path):
+    field = vl.ScalarField(vl.Grid2D.periodic(1.0, 1.0, 4, 4), np.zeros((4, 4)))
+    write_fld(tmp_path / "f.fld", field)
+    with pytest.raises(ValueError, match="periodic_cell"):
+        read_fld(tmp_path / "f.fld", kind=vl.GridKind.DIRICHLET_SQUARE)
 
 
 def test_fld_bytes_match_per_value_formatter(tmp_path):
@@ -374,7 +408,7 @@ def test_fld_bytes_match_per_value_formatter(tmp_path):
     field = vl.ScalarField(grid, values)
     write_fld(tmp_path / "f.fld", field)
     lines = [
-        "vortexfld 1",
+        "vortexfld 2 dirichlet_square",
         f"{grid.nx} {grid.ny}",
         " ".join(format_float(v) for v in (grid.x0, grid.y0, grid.hx, grid.hy)),
     ]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,8 +16,7 @@ def torus_case():
     k = vl.coupling_from_pq(1.0, 2.0)
     vs = vl.VortexSet(up=((1.9, 1.9, 1),), down=((3.1, 4.7, 1),))
     cfg = vl.SolveConfig(
-        coupling=k, vortices=vs, domain=vl.DomainSpec.torus(l, l),
-        grid=vl.Grid2D.periodic(l, l, 64, 64),
+        coupling=k, vortices=vs, grid=vl.Grid2D.periodic(l, l, 64, 64),
     )
     return cfg, vl.newton_solve(cfg)
 
@@ -36,7 +36,7 @@ def test_torus_flux_eta_energy(torus_case):
     assert abs(f1 + math.pi) < 0.005 * math.pi
     assert abs(f2 + math.pi) < 0.005 * math.pi
     eta1, eta2 = vl.eta_report(sol)
-    rep = vl.check_admissibility(k, 1, 1, cfg.domain.area)
+    rep = vl.check_admissibility(k, 1, 1, cfg.grid.area)
     assert abs(eta1 - rep.eta1) < 0.005 * rep.eta1
     assert abs(eta2 - rep.eta2) < 0.005 * rep.eta2
     energy = vl.energy_report(sol)
@@ -112,7 +112,7 @@ def test_field_maps_value_at_on_node_vortex():
     grid = vl.Grid2D.periodic(l, l, 32, 32)
     x0, y0 = float(grid.xs[10]), float(grid.ys[20])
     vs = vl.VortexSet(up=((x0, y0, 1),))
-    cfg = vl.SolveConfig(coupling=k, vortices=vs, domain=vl.DomainSpec.torus(l, l), grid=grid)
+    cfg = vl.SolveConfig(coupling=k, vortices=vs, grid=grid)
     sol = vl.newton_solve(cfg)
     assert sol.exp_u1.values[20, 10] == 0.0
     params = vl.PhysicalParams(1.0, 2.0)
@@ -129,12 +129,7 @@ def test_residual_norm_detects_perturbations(torus_case):
         vl.ScalarField(cfg.grid, sol.state.w1.values + 1e-3 * rng.normal(size=cfg.grid.shape)),
         vl.ScalarField(cfg.grid, sol.state.w2.values + 1e-3 * rng.normal(size=cfg.grid.shape)),
     )
-    noisy = vl.Solution(
-        u1=sol.u1, u2=sol.u2, exp_u1=sol.exp_u1, exp_u2=sol.exp_u2,
-        state=noisy_state, newton_iterations=sol.newton_iterations,
-        final_residual=sol.final_residual, functional_value=sol.functional_value,
-        history=sol.history, config=cfg, background=sol.background,
-    )
+    noisy = dataclasses.replace(sol, state=noisy_state)
     assert vl.residual_norm(noisy) >= 1e-4
 
 
@@ -146,12 +141,10 @@ def test_residual_norm_vacuum():
 
 def test_plane_flux_refinement_monotone():
     k = vl.coupling_from_pq(1.0, 2.0)
-    dom = vl.DomainSpec.plane(9.0)
     vs = vl.VortexSet(up=((0.0, 0.0, 1),))
     errors = []
     for n in (64, 128, 256):
-        cfg = vl.SolveConfig(coupling=k, vortices=vs, domain=dom,
-                             grid=vl.Grid2D.dirichlet(9.0, n, n))
+        cfg = vl.SolveConfig(coupling=k, vortices=vs, grid=vl.Grid2D.dirichlet(9.0, n, n))
         sol = vl.newton_solve(cfg)
         f1, _ = vl.flux_report(sol)
         errors.append(abs(f1 + math.pi))
@@ -164,8 +157,7 @@ def test_decay_bound_other_coupling():
     vs = vl.VortexSet(up=((0.0, 0.0, 1),))
     r_half = vl.default_plane_half_width(k, vs)
     cfg = vl.SolveConfig(
-        coupling=k, vortices=vs, domain=vl.DomainSpec.plane(r_half),
-        grid=vl.Grid2D.dirichlet(r_half, 192, 192),
+        coupling=k, vortices=vs, grid=vl.Grid2D.dirichlet(r_half, 192, 192),
     )
     sol = vl.newton_solve(cfg)
     fit = vl.decay_fit(sol)
@@ -182,8 +174,7 @@ def test_decay_bound_q_over_p_large():
     vs = vl.VortexSet(up=((0.0, 0.0, 1),))
     r_half = vl.default_plane_half_width(k, vs)
     cfg = vl.SolveConfig(
-        coupling=k, vortices=vs, domain=vl.DomainSpec.plane(r_half),
-        grid=vl.Grid2D.dirichlet(r_half, 192, 192),
+        coupling=k, vortices=vs, grid=vl.Grid2D.dirichlet(r_half, 192, 192),
     )
     sol = vl.newton_solve(cfg)
     fit = vl.decay_fit(sol)
@@ -197,8 +188,7 @@ def test_decay_rate_sharpness_reference():
     k = vl.coupling_from_pq(1.0, 2.0)
     vs = vl.VortexSet(up=((0.0, 0.0, 1),))
     cfg = vl.SolveConfig(
-        coupling=k, vortices=vs, domain=vl.DomainSpec.plane(9.0),
-        grid=vl.Grid2D.dirichlet(9.0, 192, 192),
+        coupling=k, vortices=vs, grid=vl.Grid2D.dirichlet(9.0, 192, 192),
     )
     sol = vl.newton_solve(cfg)
     fit = vl.decay_fit(sol)
@@ -211,7 +201,7 @@ def test_decay_fit_requires_decayed_window():
     k = vl.coupling_from_pq(1.0, 2.0)
     cfg = vl.SolveConfig(
         coupling=k, vortices=vl.VortexSet(up=((0.0, 0.0, 1),)),
-        domain=vl.DomainSpec.plane(5.0), grid=vl.Grid2D.dirichlet(5.0, 64, 64),
+        grid=vl.Grid2D.dirichlet(5.0, 64, 64),
     )
     sol = vl.newton_solve(cfg)
     with pytest.raises(InsufficientDecayWindow):

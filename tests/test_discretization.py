@@ -5,7 +5,7 @@ import pytest
 
 import vortexlab as vl
 from vortexlab.background import plane_source
-from vortexlab.errors import NonPositiveShift
+from vortexlab.errors import NonPositiveShift, WrongDomainKind
 from conftest import band_limited_field
 
 
@@ -152,6 +152,38 @@ def test_grid_constructors_validate():
         vl.Grid2D.periodic(1.0, 1.0, 12, 16)  # not a power of two
     with pytest.raises(ValueError):
         vl.Grid2D.dirichlet(1.0, 3, 8)
+    for sides in ((-1.0, 2.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="cell sides must be positive"):
+            vl.Grid2D.periodic(*sides, 8, 8)
+    for half_width in (0.0, -3.0):
+        with pytest.raises(ValueError, match="half width must be positive"):
+            vl.Grid2D.dirichlet(half_width, 8, 8)
+
+
+def test_grid_states_its_domain():
+    cell = vl.Grid2D.periodic(2 * math.pi, 3 * math.pi, 8, 16)
+    assert cell.is_torus and cell.require_torus() is cell
+    assert (cell.l1, cell.l2) == (2 * math.pi, 3 * math.pi)
+    assert cell.area == (2 * math.pi) * (3 * math.pi)
+    with pytest.raises(WrongDomainKind):
+        cell.require_plane()
+    square = vl.Grid2D.dirichlet(2.5, 8, 12)
+    assert not square.is_torus and square.require_plane() is square
+    assert square.half_width == 2.5 and square.area == 25.0
+    with pytest.raises(WrongDomainKind):
+        square.require_torus()
+
+
+def test_grid_recovers_its_extents_exactly(rng):
+    # power-of-two nx, ny make hx*nx undo l1/nx bit for bit
+    for _ in range(2000):
+        l1, l2 = rng.uniform(1e-3, 1e3, 2)
+        nx, ny = 2 ** rng.integers(1, 13, 2)
+        cell = vl.Grid2D.periodic(l1, l2, int(nx), int(ny))
+        assert (cell.l1, cell.l2, cell.area) == (l1, l2, l1 * l2)
+        r = float(rng.uniform(1e-3, 1e3))
+        square = vl.Grid2D.dirichlet(r, int(nx) + 3, int(ny) + 3)
+        assert (square.half_width, square.area) == (r, (2.0 * r) ** 2)
 
 
 def test_scalar_field_rejects_non_finite():

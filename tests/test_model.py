@@ -193,9 +193,9 @@ def test_vortex_set_counts_and_swap():
 
 
 def test_vortex_positions_validated():
-    dom = vl.DomainSpec.torus(2.0, 2.0)
+    cell = vl.Grid2D.periodic(2.0, 2.0, 8, 8)
     with pytest.raises(ValueError):
-        vl.model.validate_vortex_positions(vl.VortexSet(up=((2.5, 0.1, 1),)), dom)
-    plane = vl.DomainSpec.plane(1.0)
+        vl.model.validate_vortex_positions(vl.VortexSet(up=((2.5, 0.1, 1),)), cell)
+    plane = vl.Grid2D.dirichlet(1.0, 8, 8)
     with pytest.raises(ValueError):
         vl.model.validate_vortex_positions(vl.VortexSet(up=((1.0, 0.0, 1),)), plane)

@@ -29,7 +29,7 @@ def test_torus_vacuum_functional_closed_form():
     state = random_state(cfg, np.random.default_rng(0), amplitude=0.0)
     value = vl.functional_value(state, cfg, bg)
     k = cfg.coupling
-    expected = (8.0 * k.k11 / k.det) * cfg.domain.area  # two e^0 terms, no linear part
+    expected = (8.0 * k.k11 / k.det) * cfg.grid.area  # two e^0 terms, no linear part
     assert value == pytest.approx(expected, rel=1e-12)
 
 
@@ -148,7 +148,6 @@ def _plane_config():
     return vl.SolveConfig(
         coupling=k,
         vortices=vl.VortexSet(up=((-0.7, -0.5, 1), (0.8, -0.4, 1)), down=((0.1, 0.7, 1),)),
-        domain=vl.DomainSpec.plane(9.0),
         grid=vl.Grid2D.dirichlet(9.0, 33, 33),
     )
 
@@ -158,7 +157,6 @@ def _torus_config():
     return vl.SolveConfig(
         coupling=vl.coupling_from_pq(1.0, 2.0),
         vortices=vl.VortexSet(up=((1.9, 1.9, 1), (4.4, 3.5, 1)), down=((3.1, 4.7, 1),)),
-        domain=vl.DomainSpec.torus(l, l),
         grid=vl.Grid2D.periodic(l, l, 32, 32),
     )
 
@@ -202,7 +200,6 @@ def _torus_backtrack_config():
     return vl.SolveConfig(
         coupling=vl.coupling_from_pq(1.0, 2.0),
         vortices=vl.VortexSet(up=((6.0, 6.0, 2),), down=((14.0, 12.0, 1),)),
-        domain=vl.DomainSpec.torus(l, l),
         grid=vl.Grid2D.periodic(l, l, 32, 32),
     )
 
@@ -210,7 +207,7 @@ def _torus_backtrack_config():
 @pytest.mark.parametrize("make_cfg", [_torus_backtrack_config, _plane_config], ids=["torus", "plane"])
 def test_newton_evaluates_each_trial_once(make_cfg, monkeypatch):
     cfg = make_cfg()
-    bg = vl.build_background(cfg.vortices, cfg.domain, cfg.grid, mu=cfg.resolved_mu())
+    bg = vl.build_background(cfg.vortices, cfg.grid, mu=cfg.resolved_mu())
     counts = {"laplacian": 0, "exponentials": 0}
     laplacian, exponentials = solver.laplacian_values, solver._Problem.exponentials
 
@@ -259,7 +256,6 @@ def test_torus_vacuum_reaches_ground_state():
     cfg = vl.SolveConfig(
         coupling=k,
         vortices=vl.VortexSet(),
-        domain=vl.DomainSpec.torus(l, l),
         grid=vl.Grid2D.periodic(l, l, 32, 32),
     )
     sol = vl.newton_solve(cfg)
@@ -275,7 +271,6 @@ def torus_solution():
     cfg = vl.SolveConfig(
         coupling=k,
         vortices=vl.VortexSet(up=((1.9, 1.9, 1), (4.4, 3.5, 1)), down=((3.1, 4.7, 1),)),
-        domain=vl.DomainSpec.torus(l, l),
         grid=vl.Grid2D.periodic(l, l, 64, 64),
     )
     return cfg, vl.newton_solve(cfg)
@@ -314,8 +309,7 @@ def _exchange_plane_case():
     # except the exchange itself
     k = vl.coupling_from_pq(1.0, 3.0)
     vortices = vl.VortexSet(up=((0.3, -0.4, 2),), down=((-0.8, 0.6, 1),))
-    cfg = vl.SolveConfig(coupling=k, vortices=vortices, domain=vl.DomainSpec.plane(9.0),
-                         grid=vl.Grid2D.dirichlet(9.0, 33, 33), mu=5.0)
+    cfg = vl.SolveConfig(coupling=k, vortices=vortices, grid=vl.Grid2D.dirichlet(9.0, 33, 33), mu=5.0)
     return cfg, vl.newton_solve(cfg)
 
 
@@ -347,10 +341,10 @@ def test_preconditioner_shifts_are_far_field_diagonal(torus_solution):
 
     cfg, sol = torus_solution
     problem = solver._Problem(cfg, sol.background)
-    adm = vl.check_admissibility(cfg.coupling, cfg.vortices.n1, cfg.vortices.n2, cfg.domain.area)
+    adm = vl.check_admissibility(cfg.coupling, cfg.vortices.n1, cfg.vortices.n2, cfg.grid.area)
     shape = cfg.grid.shape
-    a11, _, a22 = problem.hessian_multipliers(np.full(shape, adm.eta1 / cfg.domain.area),
-                                              np.full(shape, adm.eta2 / cfg.domain.area))
+    a11, _, a22 = problem.hessian_multipliers(np.full(shape, adm.eta1 / cfg.grid.area),
+                                              np.full(shape, adm.eta2 / cfg.grid.area))
     assert problem.shifts == pytest.approx((a11[0, 0], a22[0, 0]), rel=1e-14)
     # at the solution the flux identities make the cell mean of a11 the shift
     a11 = problem.hessian_multipliers(sol.exp_u1.values, sol.exp_u2.values)[0]
@@ -385,7 +379,6 @@ def test_infeasible_torus_is_refused():
         coupling=k,
         vortices=vl.VortexSet(up=((0.3 * l, 0.4 * l, 1), (0.6 * l, 0.6 * l, 1)),
                               down=((0.5 * l, 0.5 * l, 1),)),
-        domain=vl.DomainSpec.torus(l, l),
         grid=vl.Grid2D.periodic(l, l, 32, 32),
     )
     with pytest.raises(InfeasibleDomain):
@@ -395,11 +388,25 @@ def test_infeasible_torus_is_refused():
 def test_iteration_budget_enforced():
     cfg, bg = small_torus_setup(n=16)
     tight = vl.SolveConfig(
-        coupling=cfg.coupling, vortices=cfg.vortices, domain=cfg.domain,
-        grid=cfg.grid, max_newton=1,
+        coupling=cfg.coupling, vortices=cfg.vortices, grid=cfg.grid, max_newton=1,
     )
     with pytest.raises(MaxIterationsExceeded):
         vl.newton_solve(tight, bg)
+
+
+@pytest.mark.parametrize("key", ["tol_residual", "cg_tol"])
+def test_solve_config_rejects_nan_tolerance(key):
+    cfg, _ = small_torus_setup()
+    with pytest.raises(ValueError, match="tolerances must be positive"):
+        replace(cfg, **{key: math.nan})
+
+
+def test_solve_config_rejects_mu_on_torus():
+    cfg, _ = small_torus_setup()
+    with pytest.raises(ValueError, match="mu applies only to plane domains"):
+        replace(cfg, mu=5.0)
+    plane_cfg, _ = small_plane_setup()
+    assert replace(plane_cfg, mu=5.0).resolved_mu() == 5.0
 
 
 def test_plane_boundary_pinned_to_ground_state():
@@ -407,7 +414,6 @@ def test_plane_boundary_pinned_to_ground_state():
     cfg = vl.SolveConfig(
         coupling=k,
         vortices=vl.VortexSet(up=((0.0, 0.0, 1),)),
-        domain=vl.DomainSpec.plane(9.0),
         grid=vl.Grid2D.dirichlet(9.0, 64, 64),
     )
     sol = vl.newton_solve(cfg)
@@ -420,10 +426,9 @@ def test_plane_boundary_pinned_to_ground_state():
 def test_mu_invariance_small_grid():
     k = vl.coupling_from_pq(1.0, 2.0)
     vs = vl.VortexSet(up=((0.0, 0.0, 1),))
-    dom = vl.DomainSpec.plane(9.0)
     grid = vl.Grid2D.dirichlet(9.0, 64, 64)
     solutions = [
-        vl.newton_solve(vl.SolveConfig(coupling=k, vortices=vs, domain=dom, grid=grid, mu=mu))
+        vl.newton_solve(vl.SolveConfig(coupling=k, vortices=vs, grid=grid, mu=mu))
         for mu in (4.0, 16.0, 64.0)
     ]
     for other in solutions[1:]:
@@ -472,8 +477,7 @@ def test_higher_multiplicity_vortex():
     k = vl.coupling_from_pq(1.0, 2.0)
     vs = vl.VortexSet(up=((2.2, 3.3, 2),), down=((4.4, 1.6, 1),))
     cfg = vl.SolveConfig(
-        coupling=k, vortices=vs, domain=vl.DomainSpec.torus(l, l),
-        grid=vl.Grid2D.periodic(l, l, 64, 64),
+        coupling=k, vortices=vs, grid=vl.Grid2D.periodic(l, l, 64, 64),
     )
     sol = vl.newton_solve(cfg)
     f1, f2 = vl.flux_report(sol)
@@ -484,17 +488,13 @@ def test_higher_multiplicity_vortex():
 
 def test_rectangular_cell():
     k = vl.coupling_from_pq(1.0, 2.0)
-    dom = vl.DomainSpec.torus(2 * np.pi, 3 * np.pi)
     vs = vl.VortexSet(up=((1.9, 5.0, 1),), down=((3.9, 2.5, 1),))
-    cfg = vl.SolveConfig(
-        coupling=k, vortices=vs, domain=dom,
-        grid=vl.Grid2D.periodic(dom.l1, dom.l2, 64, 64),
-    )
+    cfg = vl.SolveConfig(coupling=k, vortices=vs, grid=vl.Grid2D.periodic(2 * np.pi, 3 * np.pi, 64, 64))
     sol = vl.newton_solve(cfg)
     f1, f2 = vl.flux_report(sol)
     assert abs(f1 + math.pi) < 1e-12 and abs(f2 + math.pi) < 1e-12
     eta1, eta2 = vl.eta_report(sol)
-    rep = vl.check_admissibility(k, 1, 1, dom.area)
+    rep = vl.check_admissibility(k, 1, 1, cfg.grid.area)
     assert eta1 == pytest.approx(rep.eta1, abs=1e-12)
     assert eta2 == pytest.approx(rep.eta2, abs=1e-12)
 
