@@ -90,7 +90,7 @@ def _plane_species(vortices, mu, xg, yg):
 
 def plane_background(vortices: VortexSet, mu: float, grid: Grid2D) -> BackgroundData:
     """Explicit mu-regularized background sampled on a truncation-square grid."""
-    if mu <= 0:
+    if not mu > 0:  # written so that NaN fails
         raise NonPositiveMu(f"mu must be positive, got {mu}")
     xg, yg = grid.meshgrid()
     return BackgroundData(

@@ -15,7 +15,7 @@ import numpy as np
 from .discretization import Grid2D, ScalarField, integrate
 from .errors import InsufficientDecayWindow
 from .model import PhysicalParams, VortexSet, eigen_inverse
-from .solver import LOG2, Solution, functional_gradient
+from .solver import LOG2, Solution
 
 
 @dataclass(frozen=True)
@@ -205,10 +205,11 @@ def residual_norm(sol: Solution) -> float:
     The transformed-system gradient g maps back to the u-variable residual
     M g through the inverse eigenbasis transform, whatever basis the solver
     uses, since M M^T is fixed by K; away from the masked cells the
-    background identity holds and the two residuals coincide.
+    background identity holds and the two residuals coincide.  g is the
+    gradient the last Newton iteration computed, kept on ``sol``.
     """
     cfg = sol.config
-    g1, g2 = functional_gradient(sol.state, cfg, sol.background)
+    g1, g2 = sol.gradient
     r1, r2 = eigen_inverse(g1, g2, cfg.coupling)
     mask = _vortex_cell_mask(cfg.grid, cfg.vortices)
     if not cfg.grid.is_torus:

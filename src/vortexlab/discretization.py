@@ -10,8 +10,12 @@ The preconditioner (shift - Laplacian)^{-1} is the exact inverse of the same
 discrete operator on both kinds: a spectral division on periodic cells, and
 on Dirichlet squares one sine transform (DST-I along y) plus one block
 tridiagonal LDL^T solve along x (Hockney's Fourier-analysis/tridiagonal
-method).  Dirichlet grids with ny - 1 a power of two (ny = 513, 1025, ...)
-give the fast DST-I lengths; other sizes work, more slowly.
+method).  A DST-I of length m = ny - 2 runs as an FFT of length 2(m + 1)
+when that length is a fast one (ny = 513, 1025, ...) or m is above 2046;
+otherwise it is applied as the orthonormal DST-I matrix folded by its
+symmetry, two half-size matrix products, whose spectrum comes in parity
+order (odd modes first).  ``_dst_by_fft`` makes that choice, for the transform and for the
+mode order of the tridiagonal factor alike.
 """
 
 from __future__ import annotations
@@ -197,16 +201,100 @@ def _dirichlet_eigenvalues(n_interior: int, h: float) -> np.ndarray:
     return (4.0 / h**2) * np.sin(k * np.pi / (2.0 * (n_interior + 1))) ** 2
 
 
+# longest DST-I applied as the folded matrix product: its cost grows like m^2
+# per column, and past this length it lost to slow FFT lengths as well
+_FOLD_MAX = 2046
+
+
+def _dst_by_fft(m: int) -> bool:
+    """Whether a DST-I of length m runs as an FFT (natural mode order) rather
+    than as the folded matrix product (parity mode order).
+
+    The FFT has length 2(m + 1).  With one BLAS thread on a 2-core x86 VM it
+    won where that length is fast (m = 511, 2047); the folded product won or
+    tied at every other length measured from m = 126 to 2046, and lost at
+    m = 2302, 3070 and 4094.
+    """
+    n = 2 * (m + 1)
+    return m > _FOLD_MAX or scipy.fft.next_fast_len(n, real=True) == n
+
+
+@functools.lru_cache(maxsize=4)
+def _dst_halves(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The odd- and even-mode blocks of the orthonormal DST-I matrix of length m.
+
+    S[k, j] = sqrt(2/(m+1)) sin(pi k j/(m+1)), k, j = 1..m, is symmetric and
+    orthogonal, and S[k, m+1-j] = (-1)^(k+1) S[k, j].  So the odd rows need
+    only the first ceil(m/2) columns (O) and the even rows the first
+    floor(m/2) (E).  The sine argument is reduced modulo 2(m+1) in integers
+    before it is scaled.  The blocks are read-only and shared.
+    """
+    n = m + 1
+    k = np.arange(1, n)
+    j = np.arange(1, n // 2 + 1)
+    block = np.sqrt(2.0 / n) * np.sin(np.pi * (np.outer(k, j) % (2 * n)) / n)
+    odd = np.ascontiguousarray(block[0::2])
+    even = np.ascontiguousarray(block[1::2, : m // 2])
+    odd.flags.writeable = False
+    even.flags.writeable = False
+    return odd, even
+
+
+def _dst_fold(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I along axis 0, in parity order: odd modes k = 1, 3, ...
+    first, then even modes k = 2, 4, ...
+
+    The odd modes are O (x_top + x_bottom reversed, plus the middle row when
+    m is odd), the even modes E (x_top - x_bottom reversed).
+    """
+    m = x.shape[0]
+    p, q = m // 2, (m + 1) // 2
+    odd, even = _dst_halves(m)
+    top, bottom = x[:p], x[::-1][:p]
+    folded = np.empty(x.shape)
+    np.add(top, bottom, out=folded[:p])
+    if q > p:
+        folded[p] = x[p]
+    np.subtract(top, bottom, out=folded[q:])
+    spec = np.empty(x.shape)
+    np.matmul(odd, folded[:q], out=spec[:q])
+    np.matmul(even, folded[q:], out=spec[q:])
+    return spec
+
+
+def _dst_unfold(spec: np.ndarray, out: np.ndarray) -> None:
+    """Inverse of ``_dst_fold``, written into ``out`` (which may be a view).
+
+    S is symmetric and orthogonal, so the inverse applies O^T and E^T and
+    unfolds: the top rows are the sum of the two halves, the bottom rows
+    reversed their difference.
+    """
+    m = spec.shape[0]
+    p, q = m // 2, (m + 1) // 2
+    odd, even = _dst_halves(m)
+    halves = np.empty(spec.shape)
+    np.matmul(odd.T, spec[:q], out=halves[:q])
+    np.matmul(even.T, spec[q:], out=halves[q:])
+    np.add(halves[:p], halves[q:], out=out[:p])
+    np.subtract(halves[:p], halves[q:], out=out[::-1][:p])
+    if q > p:
+        out[p] = halves[p]
+
+
 @functools.lru_cache(maxsize=2)
 def _x_tridiagonal_factor(grid: Grid2D, shift: float) -> tuple[np.ndarray, np.ndarray]:
     """LDL^T factor of (shift + lam_y[k] - D_xx) for every y sine mode k.
 
     The modes are chained into one block-diagonal system, y mode major and x
     index minor (the row-major order of the transformed interior), with zero
-    couplings between blocks.  The factor is read-only and shared.
+    couplings between blocks.  The y modes come in the order the sine
+    transform gives them: natural on the FFT path, parity (odd k first) on
+    the folded path.  The factor is read-only and shared.
     """
     my, mx = grid.ny - 2, grid.nx - 2
     lam_y = _dirichlet_eigenvalues(my, grid.hy)
+    if not _dst_by_fft(my):
+        lam_y = np.concatenate((lam_y[0::2], lam_y[1::2]))
     diag = np.repeat(shift + lam_y + 2.0 / grid.hx**2, mx)
     off = np.full(my * mx - 1, -1.0 / grid.hx**2)
     off[mx - 1::mx] = 0.0
@@ -225,9 +313,10 @@ def solve_shifted_poisson(grid: Grid2D, rhs: np.ndarray, shift: float) -> np.nda
     the exact inverse of the 5-point operator on the interior (zero on the
     ring): a DST-I along y diagonalizes D_yy, each y mode leaves a symmetric
     positive definite tridiagonal system in x, solved with a cached LDL^T
-    factor, and an inverse DST-I along y returns to nodal values.  A DST-I of
-    length n runs as an FFT of length 2(n + 1), hence the fast sizes in the
-    module docstring.
+    factor, and an inverse DST-I along y returns to nodal values.  The DST-I
+    of length ny - 2 is an FFT when its FFT length is fast and the folded
+    matrix product otherwise (module docstring); the factor's mode order
+    follows the same choice.
     """
     if shift <= 0:
         raise NonPositiveShift(f"shift must be positive, got {shift}")
@@ -237,10 +326,18 @@ def solve_shifted_poisson(grid: Grid2D, rhs: np.ndarray, shift: float) -> np.nda
         spec /= shift + kx[None, :] ** 2 + ky[:, None] ** 2
         return np.fft.irfft2(spec, s=grid.shape)
     diag, off = _x_tridiagonal_factor(grid, float(shift))
-    spec = scipy.fft.dst(rhs[1:-1, 1:-1], type=1, axis=0)
+    by_fft = _dst_by_fft(grid.ny - 2)
+    if by_fft:
+        spec = scipy.fft.dst(rhs[1:-1, 1:-1], type=1, axis=0)
+    else:
+        spec = _dst_fold(rhs[1:-1, 1:-1])
     solved, _ = scipy.linalg.lapack.dpttrs(diag, off, spec.reshape(-1, 1), overwrite_b=1)
+    solved = solved.reshape(spec.shape)
     out = np.zeros_like(rhs)
-    out[1:-1, 1:-1] = scipy.fft.idst(solved.reshape(spec.shape), type=1, axis=0, overwrite_x=True)
+    if by_fft:
+        out[1:-1, 1:-1] = scipy.fft.idst(solved, type=1, axis=0, overwrite_x=True)
+    else:
+        _dst_unfold(solved, out[1:-1, 1:-1])
     return out
 
 

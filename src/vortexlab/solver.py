@@ -31,10 +31,12 @@ Two discretization choices matter for reproducibility:
 
 Each Newton step solves H d = -g by CG preconditioned with (s_i - Lap)^{-1}
 per component: spectral on the torus, one sine transform plus one
-tridiagonal solve on the plane (see ``discretization``).  The shifts s_i are
-the diagonal of the multipliers kappa M^T diag(e) M at the vacuum e = (1, 1)
-on the plane, (2 lambda1, 2 lambda2), and at the cell means eta_i/|Omega| on
-the torus: one shift per mode of the linearized far field.  The inverse is
+tridiagonal solve on the plane, where the sine transform is an FFT or,
+where that FFT length is slow, two half-size matrix products (see
+``discretization``).  The shifts s_i are the diagonal of the multipliers
+kappa M^T diag(e) M at the vacuum e = (1, 1) on the plane,
+(2 lambda1, 2 lambda2), and at the cell means eta_i/|Omega| on the torus:
+one shift per mode of the linearized far field.  The inverse is
 exact, so -Lap z_i = r_i - s_i z_i, and q = -Lap p follows the recurrence
 q_i <- (r_i - s_i z_i) + beta q_i of the search direction p.  The Hessian
 action is then q + A p with the pointwise multipliers A: an iteration costs
@@ -141,7 +143,8 @@ class Solution:
     """Converged fields and solve metadata.
 
     ``final_residual`` and ``functional_value`` refer to the transformed
-    system; ``final_residual`` is the inf-norm of its gradient in (w1, w2).
+    system; ``final_residual`` is the inf-norm of its gradient in (w1, w2),
+    which ``gradient`` holds as the last Newton iteration computed it.
     All three summaries read the last entry of ``history``.
     """
 
@@ -150,6 +153,7 @@ class Solution:
     exp_u1: ScalarField  # e^{u1} with exact zeros at on-node vortices
     exp_u2: ScalarField
     state: State
+    gradient: tuple[ScalarField, ScalarField]
     history: tuple[NewtonStep, ...]
     config: SolveConfig
     background: BackgroundData
@@ -450,7 +454,7 @@ def _minimize(cfg: SolveConfig, bg: BackgroundData, initial_state: State | None)
         del t1, t2, t_exps, t_nlap, d1, d2
 
     assert converged
-    return problem, w1, w2, exps, history
+    return problem, w1, w2, exps, (g1, g2), history
 
 
 def _recover_fields(problem: _Problem, w1, w2, exps):
@@ -477,7 +481,7 @@ def newton_solve(cfg: SolveConfig, bg: BackgroundData | None = None,
     if bg is None:
         bg = build_background(cfg.vortices, cfg.grid, mu=cfg.resolved_mu())
 
-    problem, w1, w2, exps, history = _minimize(cfg, bg, initial_state)
+    problem, w1, w2, exps, (g1, g2), history = _minimize(cfg, bg, initial_state)
     u1, u2, exp_u1, exp_u2 = _recover_fields(problem, w1, w2, exps)
 
     grid = cfg.grid
@@ -488,6 +492,7 @@ def newton_solve(cfg: SolveConfig, bg: BackgroundData | None = None,
         exp_u1=ScalarField(grid, exp_u1),
         exp_u2=ScalarField(grid, exp_u2),
         state=state,
+        gradient=(ScalarField(grid, g1), ScalarField(grid, g2)),
         history=tuple(history),
         config=cfg,
         background=bg,

@@ -80,6 +80,16 @@ def test_plane_rejects_bad_mu():
         plane_background(vl.VortexSet(), 0.0, grid)
 
 
+def test_nan_mu_is_named_from_the_library():
+    # NaN fails every comparison, so the check must be written to fail on it
+    cfg = vl.SolveConfig(
+        coupling=vl.coupling_from_pq(1.0, 2.0), vortices=vl.VortexSet(up=((0.0, 0.0, 1),)),
+        grid=vl.Grid2D.dirichlet(9.0, 16, 16), mu=math.nan,
+    )
+    with pytest.raises(NonPositiveMu, match="mu"):
+        vl.newton_solve(cfg)
+
+
 def test_plane_log_shift_is_smooth_and_consistent():
     vs = ((0.3, -0.2, 2),)
     x = np.array([0.3, 1.0, 5.0])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import vortexlab as vl
+from vortexlab import solver
 from vortexlab.diagnostics import bilinear_sample, fit_exponential_decay, ring_means
 from vortexlab.errors import InsufficientDecayWindow, WrongDomainKind
 from conftest import small_plane_setup
@@ -129,8 +130,39 @@ def test_residual_norm_detects_perturbations(torus_case):
         vl.ScalarField(cfg.grid, sol.state.w1.values + 1e-3 * rng.normal(size=cfg.grid.shape)),
         vl.ScalarField(cfg.grid, sol.state.w2.values + 1e-3 * rng.normal(size=cfg.grid.shape)),
     )
-    noisy = dataclasses.replace(sol, state=noisy_state)
+    # residual_norm reads the gradient a Solution carries, so the perturbed
+    # state comes with its own
+    noisy = dataclasses.replace(
+        sol, state=noisy_state, gradient=vl.functional_gradient(noisy_state, cfg, sol.background)
+    )
     assert vl.residual_norm(noisy) >= 1e-4
+
+
+@pytest.mark.parametrize("case", ["torus", "plane"])
+def test_residual_norm_reads_the_kept_gradient(case, torus_case, monkeypatch):
+    # the last Newton iteration's gradient is kept on the Solution: it equals
+    # functional_gradient at the final state bit for bit, and residual_norm
+    # reads it without applying a Laplacian
+    if case == "torus":
+        cfg, sol = torus_case
+    else:
+        cfg, bg = small_plane_setup(n=32)
+        sol = vl.newton_solve(cfg, bg)
+    recomputed = vl.functional_gradient(sol.state, cfg, sol.background)
+    for kept, fresh in zip(sol.gradient, recomputed):
+        assert np.array_equal(kept.values, fresh.values)
+    expected = vl.residual_norm(dataclasses.replace(sol, gradient=recomputed))
+
+    calls = []
+    laplacian_values = solver.laplacian_values
+
+    def counting(*args):
+        calls.append(1)
+        return laplacian_values(*args)
+
+    monkeypatch.setattr(solver, "laplacian_values", counting)
+    assert vl.residual_norm(sol) == expected
+    assert not calls
 
 
 def test_residual_norm_vacuum():

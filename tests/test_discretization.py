@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import vortexlab as vl
 from vortexlab.background import plane_source
+from vortexlab.discretization import _dst_by_fft, _dst_fold, _dst_unfold
 from vortexlab.errors import NonPositiveShift, WrongDomainKind
 from conftest import band_limited_field
 
@@ -74,8 +76,10 @@ def test_integrate_refinement_monotone():
         # non-square: hx != hy, and odd (31) and even (16) interior counts
         vl.Grid2D.dirichlet(3.0, 33, 18),
         vl.Grid2D.dirichlet(3.0, 18, 33),
+        # ny = 64: the sine transform of length 62 is the folded matrix product
+        vl.Grid2D.dirichlet(3.0, 64, 64),
     ],
-    ids=["torus", "torus-16x32", "plane", "plane-33x18", "plane-18x33"],
+    ids=["torus", "torus-16x32", "plane", "plane-33x18", "plane-18x33", "plane-64"],
 )
 def test_poisson_preconditioner_round_trip(grid, rng):
     shift = 2.5
@@ -90,6 +94,31 @@ def test_poisson_preconditioner_round_trip(grid, rng):
         back[0, :] = back[-1, :] = back[:, 0] = back[:, -1] = 0.0
     assert np.max(np.abs(back - r)) < 1e-10 * max(1.0, np.max(np.abs(r)))
     assert np.array_equal(f1.values, f2.values)
+
+
+@pytest.mark.parametrize("m", [*range(2, 71), 254, 255, 510, 511])
+def test_folded_sine_transform_matches_fft(m, rng):
+    # the folded product is the orthonormal DST-I in parity order (odd modes
+    # first), and its inverse undoes it
+    x = rng.normal(size=(m, 5))
+    scale = np.max(np.abs(x))
+    expected = scipy.fft.dst(x, type=1, axis=0, norm="ortho")
+    expected = np.concatenate((expected[0::2], expected[1::2]))
+    spec = _dst_fold(x)
+    assert np.max(np.abs(spec - expected)) <= 1e-14 * scale
+    back = np.empty_like(x)
+    _dst_unfold(spec, back)
+    assert np.max(np.abs(back - x)) <= 1e-14 * scale
+
+
+def test_sine_transform_path_follows_fft_length():
+    # 2(m + 1) = 64, 512, 1024 are fast FFT lengths; 34, 510, 1022 are not.
+    # Past m = 2046 the folded product's m^2 cost makes the FFT the choice
+    # at any length (2(m + 1) = 6142 = 2 * 37 * 83 is not fast)
+    for m in (31, 255, 511, 3070):
+        assert _dst_by_fft(m)
+    for m in (16, 254, 510, 2046):
+        assert not _dst_by_fft(m)
 
 
 def test_poisson_preconditioner_fourier_mode():

@@ -304,19 +304,21 @@ def test_uniqueness_from_random_start(torus_solution, rng):
     assert np.max(np.abs(sol.u2.values - sol2.u2.values)) < 1e-8
 
 
-def _exchange_plane_case():
+def _exchange_plane_case(n):
     # mu below mu* = 32, q = 3 and a doubled vortex: nothing is symmetric
     # except the exchange itself
     k = vl.coupling_from_pq(1.0, 3.0)
     vortices = vl.VortexSet(up=((0.3, -0.4, 2),), down=((-0.8, 0.6, 1),))
-    cfg = vl.SolveConfig(coupling=k, vortices=vortices, grid=vl.Grid2D.dirichlet(9.0, 33, 33), mu=5.0)
+    cfg = vl.SolveConfig(coupling=k, vortices=vortices, grid=vl.Grid2D.dirichlet(9.0, n, n), mu=5.0)
     return cfg, vl.newton_solve(cfg)
 
 
 def test_exchange_symmetry_is_bit_exact(torus_solution):
     # exchanging the species swaps v1 and v2, which keeps w1 and negates w2;
-    # IEEE negation is exact, so the two solves agree bit for bit
-    for cfg, sol in (torus_solution, _exchange_plane_case()):
+    # IEEE negation is exact, so the two solves agree bit for bit.  The plane
+    # cases cover both sine transforms: an FFT at 33 x 33 (length 31), the
+    # folded matrix product at 32 x 32 (length 30)
+    for cfg, sol in (torus_solution, _exchange_plane_case(33), _exchange_plane_case(32)):
         swapped = vl.newton_solve(replace(cfg, vortices=cfg.vortices.swapped()))
         assert np.array_equal(sol.u1.values, swapped.u2.values)
         assert np.array_equal(sol.u2.values, swapped.u1.values)
