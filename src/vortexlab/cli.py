@@ -4,9 +4,11 @@ Usage:
     vortexlab check|solve|oracle-compare --config run.json [--out DIR]
                                          [--emit-fields] [--emit-profiles]
 
-The config is strict JSON (unknown keys rejected).  report.json embeds the
-fully resolved configuration; pointing --config at a report reruns it and
-reproduces the outputs byte for byte.
+The config states the problem and is strict JSON (unknown keys rejected);
+the command line states where the outputs go and which optional ones to
+write.  report.json embeds the fully resolved configuration; pointing
+--config at a report reruns it and reproduces the outputs byte for byte,
+into any --out (pass the emit flags again to re-emit fields or profiles).
 
 Exit codes: 0 success, 1 malformed/invalid config, 2 infeasible domain,
 3 solver failure (non-convergence, or an error raised inside the solver).
@@ -49,6 +51,7 @@ from .model import (
 from .reporting import write_fld, write_json, write_radial_profile
 from .solver import (
     LOG2,
+    ORACLE_MESH,
     SolveConfig,
     default_plane_half_width,
     newton_solve,
@@ -57,16 +60,15 @@ from .solver import (
 
 MODES = ("check", "solve", "oracle-compare")
 
-# tol_residual ... armijo_backtrack: the config keys that pass straight
-# through to SolveConfig, with its defaults
+# tol_residual and max_newton: the config keys that pass straight through
+# to SolveConfig, with its defaults
 _SOLVER_DEFAULTS = {
     f.name: f.default for f in fields(SolveConfig) if f.default is not MISSING and f.name != "mu"
 }
 
 _TOP_KEYS = {
     "mode", "p", "q", "rho_bar", "domain", "grid", "vortices", "mu",
-    *_SOLVER_DEFAULTS, "output_dir", "emit_fields", "emit_profiles",
-    "oracle_mesh",
+    *_SOLVER_DEFAULTS, "oracle_mesh",
 }
 
 
@@ -95,12 +97,6 @@ def _as_number(value, key: str) -> float:
 def _as_int(value, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"key '{key}' must be an integer")
-    return value
-
-
-def _as_bool(value, key: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"key '{key}' must be a boolean")
     return value
 
 
@@ -193,12 +189,9 @@ def resolve_config(raw: dict, mode: str) -> dict:
             key: (_as_int if isinstance(default, int) else _as_number)(raw.get(key, default), key)
             for key, default in _SOLVER_DEFAULTS.items()
         },
-        "output_dir": raw.get("output_dir", "."),
-        "emit_fields": _as_bool(raw.get("emit_fields", False), "emit_fields"),
-        "emit_profiles": _as_bool(raw.get("emit_profiles", False), "emit_profiles"),
     }
     if mode == "oracle-compare":
-        resolved["oracle_mesh"] = _as_int(raw.get("oracle_mesh", 8192), "oracle_mesh")
+        resolved["oracle_mesh"] = _as_int(raw.get("oracle_mesh", ORACLE_MESH), "oracle_mesh")
     return resolved
 
 
@@ -215,10 +208,7 @@ def _build_problem(resolved: dict):
         grid = Grid2D.periodic(dom["L1"], dom["L2"], nx, ny)
     else:
         grid = Grid2D.dirichlet(dom["R"], nx, ny)
-    try:
-        validate_vortex_positions(vortices, grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    validate_vortex_positions(vortices, grid)
     cfg = SolveConfig(
         coupling=k,
         vortices=vortices,
@@ -283,17 +273,17 @@ def _solve(cfg: SolveConfig):
         raise SolverError(f"{type(exc).__name__} raised in the solver: {exc}") from exc
 
 
-def run_solve(resolved: dict, out_dir: Path) -> int:
+def run_solve(resolved: dict, out_dir: Path, emit_fields: bool, emit_profiles: bool) -> int:
     params, cfg = _build_problem(resolved)
     sol = _solve(cfg)
     report = _solution_report(resolved, params, cfg, sol)
     write_json(out_dir / "report.json", report)
-    if resolved["emit_fields"]:
+    if emit_fields:
         write_fld(out_dir / "u1.fld", sol.u1)
         write_fld(out_dir / "u2.fld", sol.u2)
         maps = diagnostics.field_maps(sol, params)
         write_fld(out_dir / "B12.fld", maps["B12"])
-    if resolved["emit_profiles"] and not cfg.grid.is_torus:
+    if emit_profiles and not cfg.grid.is_torus:
         _emit_profiles(out_dir, cfg, sol)
     return 0
 
@@ -361,7 +351,7 @@ def main(argv=None) -> int:
     for mode in MODES:
         sp = sub.add_parser(mode)
         sp.add_argument("--config", required=True, type=Path)
-        sp.add_argument("--out", type=Path, default=None)
+        sp.add_argument("--out", type=Path, default=Path("."))
         sp.add_argument("--emit-fields", action="store_true")
         sp.add_argument("--emit-profiles", action="store_true")
     args = parser.parse_args(argv)
@@ -374,19 +364,12 @@ def main(argv=None) -> int:
 
     try:
         resolved = resolve_config(raw, args.mode)
-        if args.emit_fields:
-            resolved["emit_fields"] = True
-        if args.emit_profiles:
-            resolved["emit_profiles"] = True
-        if args.out is not None:
-            resolved["output_dir"] = str(args.out)
-        out_dir = Path(resolved["output_dir"])
-        out_dir.mkdir(parents=True, exist_ok=True)
+        args.out.mkdir(parents=True, exist_ok=True)
         if args.mode == "check":
-            return run_check(resolved, out_dir)
+            return run_check(resolved, args.out)
         if args.mode == "solve":
-            return run_solve(resolved, out_dir)
-        return run_oracle_compare(resolved, out_dir)
+            return run_solve(resolved, args.out, args.emit_fields, args.emit_profiles)
+        return run_oracle_compare(resolved, args.out)
     except InfeasibleDomain as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2

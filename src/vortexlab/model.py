@@ -67,12 +67,16 @@ class CouplingMatrix:
     det: float
     lambda1: float
     lambda2: float
-    lambda0: float
 
     @property
     def eigen_scales(self) -> tuple[float, float]:
         """(alpha, beta) = sqrt(det*lambda_i/(2 k11)), the scales of the eigenbasis map."""
         return tuple(math.sqrt(self.det * lam / (2.0 * self.k11)) for lam in (self.lambda1, self.lambda2))
+
+    @property
+    def lambda0(self) -> float:
+        """4 min(lambda1, lambda2), the slowest decay constant of the far field."""
+        return 4.0 * min(self.lambda1, self.lambda2)
 
     @property
     def decay_rate(self) -> float:
@@ -86,17 +90,14 @@ def coupling_from_pq(p: float, q: float) -> CouplingMatrix:
     k11 = (p + q) / p
     k12 = (p - q) / p
     det = k11 * k11 - k12 * k12  # = 4q/p
-    lambda1 = 2.0
-    lambda2 = 2.0 * q / p
     return CouplingMatrix(
         k11=k11,
         k12=k12,
         k21=k12,
         k22=k11,
         det=det,
-        lambda1=lambda1,
-        lambda2=lambda2,
-        lambda0=4.0 * min(lambda1, lambda2),
+        lambda1=2.0,
+        lambda2=2.0 * q / p,
     )
 
 

@@ -87,33 +87,31 @@ from .model import (
 LOG2 = math.log(2.0)
 EXP_GUARD = 700.0
 LOG_ZERO = -800.0  # stands in for ln(0) at exact vortex nodes; exp(-800.) == 0.0
+# inner solve and line search: fixed, so a config states only the problem
+CG_TOL = 1e-3  # cap on the Eisenstat-Walker forcing term
+CG_MAX_ITER = 400
+ARMIJO_C = 1e-4  # sufficient-decrease constant
+ARMIJO_BACKTRACK = 0.5  # step factor per rejected trial
+ORACLE_MESH = 8192  # nodes of the 1D radial oracle
 
 
 @dataclass(frozen=True)
 class SolveConfig:
+    """The problem (K, the vortices, the domain) and the Newton stopping rule."""
+
     coupling: CouplingMatrix
     vortices: VortexSet
     grid: Grid2D  # the domain: a periodic grid is the torus cell, a Dirichlet grid the plane's square
     mu: float | None = None  # plane only; defaults to 16*max(1, N1, N2)
     tol_residual: float = 1e-10
     max_newton: int = 50
-    cg_tol: float = 1e-3
-    cg_max_iter: int = 400
-    armijo_c: float = 1e-4
-    armijo_backtrack: float = 0.5
 
     def __post_init__(self):
         # written so that NaN fails
-        if not (self.tol_residual > 0 and self.cg_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if not 0 < self.armijo_c < 1:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not 0 < self.armijo_backtrack < 1:
-            raise ValueError("backtracking factor must lie in (0, 1)")
+        if not self.tol_residual > 0:
+            raise ValueError("tol_residual must be positive")
         if self.max_newton < 1:
             raise ValueError("max_newton must be >= 1")
-        if self.cg_max_iter < 1:
-            raise ValueError("cg_max_iter must be >= 1")
         if self.mu is not None and self.grid.is_torus:
             raise ValueError("mu applies only to plane domains")
 
@@ -420,8 +418,8 @@ def _minimize(cfg: SolveConfig, bg: BackgroundData, initial_state: State | None)
         mult = problem.hessian_multipliers(*exps)
         # Eisenstat-Walker forcing: tighten the inner solve with the residual
         # so the outer iteration keeps its quadratic tail
-        cg_rel = min(cfg.cg_tol, max(1e-8, residual))
-        d1, d2, cg_its = _pcg(problem, mult, -g1, -g2, cg_rel, cfg.cg_max_iter)
+        cg_rel = min(CG_TOL, max(1e-8, residual))
+        d1, d2, cg_its = _pcg(problem, mult, -g1, -g2, cg_rel, CG_MAX_ITER)
         del mult
         slope = problem.grid.cell_area * _dot(g1, g2, d1, d2)
         if slope >= 0.0:
@@ -440,11 +438,11 @@ def _minimize(cfg: SolveConfig, bg: BackgroundData, initial_state: State | None)
                 t_exps, t_nlap, trial = problem.evaluate(t1, t2)
             except ExponentOverflow:
                 trial = math.inf
-            if trial <= value + cfg.armijo_c * alpha * slope + noise:
+            if trial <= value + ARMIJO_C * alpha * slope + noise:
                 break
             # a rejected trial's arrays go before the next trial allocates
             t1 = t2 = t_exps = t_nlap = None
-            alpha *= cfg.armijo_backtrack
+            alpha *= ARMIJO_BACKTRACK
             if alpha < 1e-14:
                 raise LineSearchStalled("Armijo backtracking stalled below 1e-14")
         history.append(NewtonStep(it, residual, value, alpha, cg_its))
@@ -533,7 +531,7 @@ def hessian_matvec(state: State, direction: tuple[ScalarField, ScalarField],
 # -- Independent 1D radial oracle ------------------------------------------------
 
 def radial_oracle(k: CouplingMatrix, n1: int, n2: int, rmax: float,
-                  mesh: int = 4096) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  mesh: int = ORACLE_MESH) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve the radially reduced system with all vortices at the origin.
 
     Uses the substitution u_i = 2 n_i ln r + t_i and a damped Newton iteration

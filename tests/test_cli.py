@@ -57,11 +57,14 @@ def test_check_infeasible_exit_2(tmp_path):
 
 
 def test_unknown_key_rejected(tmp_path, capsys):
-    cfg = torus_config()
-    cfg["vorticies"] = {}
-    path = write_config(tmp_path, cfg)
-    assert cli.main(["check", "--config", str(path), "--out", str(tmp_path)]) == 1
-    assert "vorticies" in capsys.readouterr().err
+    # a typo, and each key that older configs and reports carried
+    for key, value in {
+        "vorticies": {}, "cg_tol": 1e-3, "cg_max_iter": 400, "armijo_c": 1e-4,
+        "armijo_backtrack": 0.5, "output_dir": ".", "emit_fields": True, "emit_profiles": False,
+    }.items():
+        path = write_config(tmp_path, torus_config(**{key: value}))
+        assert cli.main(["check", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
 def test_malformed_json_exit_1(tmp_path, capsys):
@@ -136,18 +139,17 @@ def test_solver_value_error_exit_3(tmp_path, monkeypatch, capsys, mode):
 
 
 def test_config_value_error_exit_1(tmp_path, monkeypatch, capsys):
-    # non-finite numbers and bad solver settings are refused before any solve
+    # non-finite numbers and bad settings are refused before any solve
     def unreachable(cfg):
         raise AssertionError("newton_solve must not run on an invalid config")
 
     monkeypatch.setattr(cli, "newton_solve", unreachable)
     for overrides, message in (
-        ({"armijo_backtrack": 1.5}, "backtracking factor"),
-        ({"cg_max_iter": 0}, "cg_max_iter"),
+        ({"max_newton": 0}, "max_newton must be >= 1"),
         ({"p": float("nan")}, "'p'"),
         ({"vortices": {"up": [[float("inf"), 1.9, 1]]}}, "vortices.up"),
         ({"tol_residual": float("nan")}, "tol_residual"),
-        ({"armijo_c": 1.5}, "armijo_c"),
+        ({"tol_residual": 0.0}, "tol_residual must be positive"),
         ({"domain": {"kind": "torus", "L1": 0.0, "L2": TORUS_L}}, "cell sides must be positive"),
         ({"domain": {"kind": "plane", "R": -1.0}, "vortices": {}}, "half width must be positive"),
     ):
@@ -157,18 +159,20 @@ def test_config_value_error_exit_1(tmp_path, monkeypatch, capsys):
 
 
 def test_solve_deterministic_and_rerunnable(tmp_path):
-    cfg = torus_config(emit_fields=True)
-    path = write_config(tmp_path, cfg)
-    out = tmp_path / "out"
-    assert cli.main(["solve", "--config", str(path), "--out", str(out)]) == 0
-    first = (out / "report.json").read_bytes()
-    first_fld = (out / "u1.fld").read_bytes()
-    assert cli.main(["solve", "--config", str(path), "--out", str(out)]) == 0
-    assert (out / "report.json").read_bytes() == first
-    assert (out / "u1.fld").read_bytes() == first_fld
-    # rerunning from the report itself reproduces the bytes too
-    assert cli.main(["solve", "--config", str(out / "report.json")]) == 0
-    assert (out / "report.json").read_bytes() == first
+    # report.json states the problem only: neither where the outputs go nor
+    # which optional ones were written changes its bytes
+    path = write_config(tmp_path, torus_config())
+    a, b, c = tmp_path / "a", tmp_path / "nested" / "b", tmp_path / "c"
+    assert cli.main(["solve", "--config", str(path), "--out", str(a), "--emit-fields"]) == 0
+    assert cli.main(["solve", "--config", str(path), "--out", str(b), "--emit-fields"]) == 0
+    first = (a / "report.json").read_bytes()
+    assert (b / "report.json").read_bytes() == first
+    assert (b / "u1.fld").read_bytes() == (a / "u1.fld").read_bytes()
+    # rerunning from the report itself, into a third directory and without
+    # the flag, reproduces the bytes too
+    assert cli.main(["solve", "--config", str(a / "report.json"), "--out", str(c)]) == 0
+    assert (c / "report.json").read_bytes() == first
+    assert not (c / "u1.fld").exists()
 
 
 def field_names(cls) -> set[str]:
@@ -219,9 +223,8 @@ def test_solve_report_content_plane(tmp_path):
 
 
 def test_fld_format_and_round_trip(tmp_path):
-    cfg = torus_config(emit_fields=True)
-    path = write_config(tmp_path, cfg)
-    assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 0
+    path = write_config(tmp_path, torus_config())
+    assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path), "--emit-fields"]) == 0
     lines = (tmp_path / "u1.fld").read_text().splitlines()
     assert lines[0] == "vortexfld 2 periodic_cell"
     assert lines[1] == "32 32"
@@ -241,10 +244,9 @@ def test_emit_profiles_plane(tmp_path):
         "domain": {"kind": "plane"},
         "grid": {"nx": 64, "ny": 64},
         "vortices": {"up": [[0.0, 0.0, 1]]},
-        "emit_profiles": True,
     }
     path = write_config(tmp_path, cfg)
-    assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path), "--emit-profiles"]) == 0
     rows = (tmp_path / "radial_profile.csv").read_text().splitlines()
     assert rows[0] == "r,u1_ring_mean,u2_ring_mean,decay_quantity"
     assert len(rows) == 65
@@ -315,10 +317,11 @@ def test_oracle_compare_rejects_coarse_mesh_before_solving(tmp_path, monkeypatch
     assert "mesh 10" in err and "64" in err
 
 
-def test_vortices_outside_domain_rejected(tmp_path):
+def test_vortices_outside_domain_rejected(tmp_path, capsys):
     cfg = torus_config(vortices={"up": [[100.0, 0.0, 1]], "down": []})
     path = write_config(tmp_path, cfg)
     assert cli.main(["check", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert "outside the fundamental cell" in capsys.readouterr().err
 
 
 def test_coincident_vortices_merged(tmp_path):
@@ -334,9 +337,13 @@ def test_coincident_vortices_merged(tmp_path):
 def test_resolve_config_fills_solver_defaults():
     resolved = cli.resolve_config(torus_config(), "solve")
     defaults = {f.name: f.default for f in fields(vl.SolveConfig)}
-    for key in ("tol_residual", "max_newton", "cg_tol", "cg_max_iter", "armijo_c", "armijo_backtrack"):
+    for key in ("tol_residual", "max_newton"):
         assert resolved[key] == defaults[key]
         assert type(resolved[key]) is type(defaults[key])
+    # the resolved config is the problem and its solver settings, nothing else
+    assert set(resolved) == {
+        "mode", "p", "q", "rho_bar", "domain", "grid", "vortices", "mu", "tol_residual", "max_newton",
+    }
 
 
 def test_shipped_torus_example_config(tmp_path):
