@@ -27,7 +27,7 @@ import numpy as np
 
 from . import diagnostics
 from .background import default_mu, plane_log_u0
-from .discretization import Grid2D
+from .discretization import Grid2D, bilinear_sample
 from .errors import (
     ConfigError,
     ExponentOverflow,
@@ -315,12 +315,12 @@ def run_oracle_compare(resolved: dict, out_dir: Path) -> int:
     v1, v2 = eigen_inverse_values(sol.state.w1.values, sol.state.w2.values, k)
     u1_rings = (
         plane_log_u0(cfg.vortices.up, mu, x, y)
-        + diagnostics.bilinear_sample(grid, v1, x, y)
+        + bilinear_sample(grid, v1, x, y)
         - LOG2
     ).mean(axis=1)
     u2_rings = (
         plane_log_u0(cfg.vortices.down, mu, x, y)
-        + diagnostics.bilinear_sample(grid, v2, x, y)
+        + bilinear_sample(grid, v2, x, y)
         - LOG2
     ).mean(axis=1)
     u1_ref = np.interp(radii, r_oracle, u1_oracle)

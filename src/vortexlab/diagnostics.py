@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import Grid2D, ScalarField, integrate
+from .discretization import Grid2D, ScalarField, bilinear_sample, integrate
 from .errors import InsufficientDecayWindow
 from .model import PhysicalParams, VortexSet, eigen_inverse
-from .solver import LOG2, Solution
+from .solver import LOG2, Solution, functional_gradient
 
 
 @dataclass(frozen=True)
@@ -67,20 +67,6 @@ def energy_report(sol: Solution) -> float:
 
 
 # -- Ring sampling and decay fits -------------------------------------------------
-
-def bilinear_sample(grid: Grid2D, values: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    fx = (np.asarray(x) - grid.x0) / grid.hx
-    fy = (np.asarray(y) - grid.y0) / grid.hy
-    ix = np.clip(np.floor(fx).astype(int), 0, grid.nx - 2)
-    iy = np.clip(np.floor(fy).astype(int), 0, grid.ny - 2)
-    tx = fx - ix
-    ty = fy - iy
-    v00 = values[iy, ix]
-    v01 = values[iy, ix + 1]
-    v10 = values[iy + 1, ix]
-    v11 = values[iy + 1, ix + 1]
-    return (1 - ty) * ((1 - tx) * v00 + tx * v01) + ty * ((1 - tx) * v10 + tx * v11)
-
 
 def ring_points(radii: np.ndarray, n_angles: int) -> tuple[np.ndarray, np.ndarray]:
     """(x, y) of shape (len(radii), n_angles) on origin-centered circles, at mid-cell angles."""
@@ -205,11 +191,11 @@ def residual_norm(sol: Solution) -> float:
     The transformed-system gradient g maps back to the u-variable residual
     M g through the inverse eigenbasis transform, whatever basis the solver
     uses, since M M^T is fixed by K; away from the masked cells the
-    background identity holds and the two residuals coincide.  g is the
-    gradient the last Newton iteration computed, kept on ``sol``.
+    background identity holds and the two residuals coincide.  g is
+    evaluated at ``sol.state``, so it is always the residual of that state.
     """
     cfg = sol.config
-    g1, g2 = sol.gradient
+    g1, g2 = functional_gradient(sol.state, cfg, sol.background)
     r1, r2 = eigen_inverse(g1, g2, cfg.coupling)
     mask = _vortex_cell_mask(cfg.grid, cfg.vortices)
     if not cfg.grid.is_torus:

@@ -16,6 +16,10 @@ otherwise it is applied as the orthonormal DST-I matrix folded by its
 symmetry, two half-size matrix products, whose spectrum comes in parity
 order (odd modes first).  ``_dst_by_fft`` makes that choice, for the transform and for the
 mode order of the tridiagonal factor alike.
+
+Coarse-to-fine solves halve a grid with ``coarsen`` and carry values back
+with ``prolong``: trigonometric interpolation on periodic cells, bilinear
+interpolation (``bilinear_sample``, the one sampler) on Dirichlet squares.
 """
 
 from __future__ import annotations
@@ -194,6 +198,61 @@ def integrate(f: ScalarField) -> float:
     return integrate_values(f.grid, f.values)
 
 
+# -- Sampling and prolongation -------------------------------------------------
+
+def bilinear_sample(grid: Grid2D, values: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of grid values at arbitrary points (x, y)."""
+    fx = (np.asarray(x) - grid.x0) / grid.hx
+    fy = (np.asarray(y) - grid.y0) / grid.hy
+    ix = np.clip(np.floor(fx).astype(int), 0, grid.nx - 2)
+    iy = np.clip(np.floor(fy).astype(int), 0, grid.ny - 2)
+    tx = fx - ix
+    ty = fy - iy
+    v00 = values[iy, ix]
+    v01 = values[iy, ix + 1]
+    v10 = values[iy + 1, ix]
+    v11 = values[iy + 1, ix + 1]
+    return (1 - ty) * ((1 - tx) * v00 + tx * v01) + ty * ((1 - tx) * v10 + tx * v11)
+
+
+def coarsen(grid: Grid2D) -> Grid2D:
+    """The same domain with every side halved: n/2 nodes on a periodic cell,
+    (n + 1)//2 on a Dirichlet square, whose nodes then nest in the fine
+    grid's when n is odd."""
+    if grid.is_torus:
+        return Grid2D.periodic(grid.l1, grid.l2, grid.nx // 2, grid.ny // 2)
+    return Grid2D.dirichlet(grid.half_width, (grid.nx + 1) // 2, (grid.ny + 1) // 2)
+
+
+def prolong(coarse: Grid2D, values: np.ndarray, fine: Grid2D) -> np.ndarray:
+    """Values on ``coarse`` carried onto every node of ``fine``, the grid it
+    was coarsened from.
+
+    On a periodic cell this is trigonometric interpolation: the rfft2
+    spectrum zero-padded, each Nyquist mode split evenly between its + and
+    - frequency so that the interpolant stays real and takes the coarse
+    values at the coarse nodes.  On a Dirichlet square it is bilinear
+    interpolation, which needs no nesting.  Both are linear with weights
+    that do not depend on the values, so negated values prolong to exactly
+    the negated result.
+    """
+    if not coarse.is_torus:
+        # a row of x against a column of y broadcasts to the fine nodes
+        return bilinear_sample(coarse, values, fine.xs[None, :], fine.ys[:, None])
+    ny, nx = values.shape
+    spec = np.fft.rfft2(values)
+    padded = np.zeros((fine.ny, fine.nx // 2 + 1), dtype=complex)
+    half_y, half_x = ny // 2, nx // 2
+    padded[:half_y, :half_x + 1] = spec[:half_y]
+    padded[-half_y:, :half_x + 1] = spec[half_y:]
+    padded[:, half_x] *= 0.5
+    padded[-half_y] *= 0.5
+    padded[half_y] = padded[-half_y]
+    # irfft2 divides by the fine node count, 4 times the coarse one
+    padded *= (fine.nx * fine.ny) / (nx * ny)
+    return np.fft.irfft2(padded, s=fine.shape)
+
+
 # -- Shifted-Poisson solve ----------------------------------------------------
 
 def _dirichlet_eigenvalues(n_interior: int, h: float) -> np.ndarray:
@@ -219,6 +278,8 @@ def _dst_by_fft(m: int) -> bool:
     return m > _FOLD_MAX or scipy.fft.next_fast_len(n, real=True) == n
 
 
+# a length for each level of a four-level cascade (a 512^2 plane); the finest
+# level's comes last in a solve, so nothing evicts it there
 @functools.lru_cache(maxsize=4)
 def _dst_halves(m: int) -> tuple[np.ndarray, np.ndarray]:
     """The odd- and even-mode blocks of the orthonormal DST-I matrix of length m.
@@ -281,6 +342,8 @@ def _dst_unfold(spec: np.ndarray, out: np.ndarray) -> None:
         out[p] = halves[p]
 
 
+# the two shifts of one level: the finest level factors last in a solve, so
+# nothing evicts its factors there, and the coarse levels' go as it starts
 @functools.lru_cache(maxsize=2)
 def _x_tridiagonal_factor(grid: Grid2D, shift: float) -> tuple[np.ndarray, np.ndarray]:
     """LDL^T factor of (shift + lam_y[k] - D_xx) for every y sine mode k.

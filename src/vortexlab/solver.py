@@ -48,12 +48,29 @@ functional value, whose quadratic part is da/2 <t, -Lap t> on the torus and
 the 5-point edge energy on the plane.  The accepted trial, with all three,
 is the next iterate, and its -Lap t becomes the next gradient in place.  So
 a Newton step applies two Laplacians per Armijo trial and none besides.
+
+A solve runs coarse to fine (nested iteration).  Its grid is halved, side by
+side, while the coarser grid keeps at least ``COARSEST_SIDE`` nodes per side:
+n/2 on the torus, (n + 1)//2 on the plane, whose grids then nest when n is
+odd.  The coarsest level starts from w = 0; each level's converged w is
+prolonged onto the next finer grid as that level's start (``prolong``:
+spectral zero-padding on the torus, bilinear interpolation of the interior
+on the plane, whose ring keeps the level's own Dirichlet data).  The
+functional is strictly convex on every grid, so each level's minimizer is
+the next level's near neighbour, and by mesh independence the solve's own
+grid needs only the last, quadratic Newton steps.  A torus level's
+background is the finer one's [::2, ::2], normalization included, so every
+level's w approximates the same function; a plane level builds its own.
+Every level stops at ``tol_residual``: a coarse level is cheap, and a
+converged one is what lets the finer torus levels start converged.  A coarse
+level that reaches ``max_newton`` hands its iterate on instead of failing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse
@@ -67,7 +84,14 @@ from .background import (
     plane_log_u0_shift,
     plane_source,
 )
-from .discretization import Grid2D, ScalarField, laplacian_values, solve_shifted_poisson
+from .discretization import (
+    Grid2D,
+    ScalarField,
+    coarsen,
+    laplacian_values,
+    prolong,
+    solve_shifted_poisson,
+)
 from .errors import (
     ConvergenceFailure,
     ExponentOverflow,
@@ -93,6 +117,7 @@ CG_MAX_ITER = 400
 ARMIJO_C = 1e-4  # sufficient-decrease constant
 ARMIJO_BACKTRACK = 0.5  # step factor per rejected trial
 ORACLE_MESH = 8192  # nodes of the 1D radial oracle
+COARSEST_SIDE = 64  # fewest nodes per side of a coarse level
 
 
 @dataclass(frozen=True)
@@ -110,6 +135,8 @@ class SolveConfig:
         # written so that NaN fails
         if not self.tol_residual > 0:
             raise ValueError("tol_residual must be positive")
+        if isinstance(self.max_newton, bool) or not isinstance(self.max_newton, numbers.Integral):
+            raise ValueError(f"max_newton must be an integer, got {self.max_newton!r}")
         if self.max_newton < 1:
             raise ValueError("max_newton must be >= 1")
         if self.mu is not None and self.grid.is_torus:
@@ -129,21 +156,24 @@ class State:
 
 @dataclass(frozen=True)
 class NewtonStep:
-    iteration: int
+    iteration: int  # counted from 0 on each level
     residual_inf: float
     functional: float
     step_size: float
     cg_iterations: int
+    grid: tuple[int, int]  # (nx, ny) of the level this step ran on
 
 
 @dataclass
 class Solution:
     """Converged fields and solve metadata.
 
-    ``final_residual`` and ``functional_value`` refer to the transformed
-    system; ``final_residual`` is the inf-norm of its gradient in (w1, w2),
-    which ``gradient`` holds as the last Newton iteration computed it.
-    All three summaries read the last entry of ``history``.
+    ``history`` lists the Newton steps of every level, coarsest first; the
+    finest level, the solve's own grid, comes last.  ``final_residual`` and
+    ``functional_value`` refer to the transformed system on that grid;
+    ``final_residual`` is the inf-norm of its gradient in (w1, w2).  All
+    three summaries read the last entry of ``history``, so
+    ``newton_iterations`` counts the finest level's steps only.
     """
 
     u1: ScalarField
@@ -151,7 +181,6 @@ class Solution:
     exp_u1: ScalarField  # e^{u1} with exact zeros at on-node vortices
     exp_u2: ScalarField
     state: State
-    gradient: tuple[ScalarField, ScalarField]
     history: tuple[NewtonStep, ...]
     config: SolveConfig
     background: BackgroundData
@@ -390,30 +419,43 @@ def _advance(p, q, r, z, beta, shift) -> None:
     q -= z
 
 
-def _minimize(cfg: SolveConfig, bg: BackgroundData, initial_state: State | None):
-    problem = _Problem(cfg, bg)
+def _start(problem: _Problem, previous: tuple[Grid2D, np.ndarray, np.ndarray] | None):
+    """A level's starting iterate: w = 0, or the w of ``previous`` =
+    (grid, w1, w2), prolonged when that grid is coarser; the plane's ring
+    keeps the level's Dirichlet data either way."""
     w1, w2 = problem.initial_w()
-    if initial_state is not None:
-        if problem.torus:
-            w1 = initial_state.w1.values.copy()
-            w2 = initial_state.w2.values.copy()
-        else:
-            w1[1:-1, 1:-1] = initial_state.w1.values[1:-1, 1:-1]
-            w2[1:-1, 1:-1] = initial_state.w2.values[1:-1, 1:-1]
+    if previous is not None:
+        grid, v1, v2 = previous
+        inner = np.s_[:, :] if problem.torus else np.s_[1:-1, 1:-1]
+        for w, v in ((w1, v1), (w2, v2)):
+            if grid != problem.grid:
+                v = prolong(grid, v, problem.grid)
+            w[inner] = v[inner]
+    return w1, w2
 
+
+def _newton(problem: _Problem, previous, tol: float, max_newton: int, finest: bool):
+    """Damped Newton from ``_start(problem, previous)`` until the residual
+    is at most ``tol``.
+
+    After ``max_newton`` steps the finest level raises; a coarse level hands
+    its iterate on as it is, since it only gives the next level its start.
+    """
+    # the start is made here, so that no caller's name keeps it once the
+    # first accepted step replaces it
+    w1, w2 = _start(problem, previous)
     history = []
-    converged = False
+    grid = (problem.grid.nx, problem.grid.ny)
     exps, nlap, value = problem.evaluate(w1, w2)
-    for it in range(cfg.max_newton + 1):
+    for it in range(max_newton + 1):
         g1, g2 = problem.gradient(exps, nlap)
         residual = float(max(np.max(np.abs(g1)), np.max(np.abs(g2))))
-        if residual <= cfg.tol_residual:
-            history.append(NewtonStep(it, residual, value, 0.0, 0))
-            converged = True
+        if residual <= tol or (it == max_newton and not finest):
+            history.append(NewtonStep(it, residual, value, 0.0, 0, grid))
             break
-        if it == cfg.max_newton:
+        if it == max_newton:
             raise MaxIterationsExceeded(
-                f"residual {residual:.3g} > {cfg.tol_residual:.3g} after {it} Newton steps"
+                f"residual {residual:.3g} > {tol:.3g} after {it} Newton steps"
             )
         mult = problem.hessian_multipliers(*exps)
         # Eisenstat-Walker forcing: tighten the inner solve with the residual
@@ -445,14 +487,37 @@ def _minimize(cfg: SolveConfig, bg: BackgroundData, initial_state: State | None)
             alpha *= ARMIJO_BACKTRACK
             if alpha < 1e-14:
                 raise LineSearchStalled("Armijo backtracking stalled below 1e-14")
-        history.append(NewtonStep(it, residual, value, alpha, cg_its))
+        history.append(NewtonStep(it, residual, value, alpha, cg_its, grid))
         w1, w2, exps, nlap, value = t1, t2, t_exps, t_nlap, trial
         # only the iterate's names keep its arrays; the spent direction goes
         # before the next CG allocates
         del t1, t2, t_exps, t_nlap, d1, d2
+    return w1, w2, exps, history
 
-    assert converged
-    return problem, w1, w2, exps, (g1, g2), history
+
+def _levels(cfg: SolveConfig, bg: BackgroundData) -> list[tuple[Grid2D, BackgroundData]]:
+    """(grid, background) of each cascade level, coarsest first, ending with
+    the solve's own.
+
+    Sides halve while the coarser level keeps at least ``COARSEST_SIDE``
+    nodes per side.  A torus background is the finer one's [::2, ::2]: the
+    corner nodes nest and the finer normalization carries over, so every
+    level's w approximates the same function.  A plane background is built
+    on its own level.
+    """
+    levels = [(cfg.grid, bg)]
+    # a halved side, n//2 (n even on the torus) or (n + 1)//2, keeps
+    # COARSEST_SIDE nodes exactly when n >= 2*COARSEST_SIDE - 1
+    while min(levels[0][0].nx, levels[0][0].ny) >= 2 * COARSEST_SIDE - 1:
+        fine_bg = levels[0][1]
+        grid = coarsen(levels[0][0])
+        if grid.is_torus:
+            level_bg = BackgroundData(ScalarField(grid, fine_bg.exp_u0_up.values[::2, ::2]),
+                                      ScalarField(grid, fine_bg.exp_u0_down.values[::2, ::2]))
+        else:
+            level_bg = build_background(cfg.vortices, grid, mu=bg.mu)
+        levels.insert(0, (grid, level_bg))
+    return levels
 
 
 def _recover_fields(problem: _Problem, w1, w2, exps):
@@ -470,27 +535,40 @@ def _recover_fields(problem: _Problem, w1, w2, exps):
 
 def newton_solve(cfg: SolveConfig, bg: BackgroundData | None = None,
                  initial_state: State | None = None) -> Solution:
-    """Solve the vortex system by damped Newton from w = 0.
+    """Solve the vortex system by damped Newton, coarse to fine.
 
-    ``initial_state`` overrides the starting iterate (testing hook; by strict
-    convexity the minimizer does not depend on it).
+    The problem is first solved on a chain of coarser grids (``_levels``),
+    each level starting from the prolonged solution of the one below, the
+    coarsest from w = 0; the solve's own grid then runs only the last steps.
+    ``initial_state`` overrides the starting iterate on the solve's own grid
+    and skips the coarse levels (testing hook; by strict convexity the
+    minimizer does not depend on it).
     """
     validate_vortex_positions(cfg.vortices, cfg.grid)
     if bg is None:
         bg = build_background(cfg.vortices, cfg.grid, mu=cfg.resolved_mu())
+    levels = [(cfg.grid, bg)] if initial_state is not None else _levels(cfg, bg)
 
-    problem, w1, w2, exps, (g1, g2), history = _minimize(cfg, bg, initial_state)
+    history = []
+    previous = None if initial_state is None else (cfg.grid, initial_state.w1.values,
+                                                   initial_state.w2.values)
+    while levels:
+        # popped, so that each coarse background goes with its level
+        grid, level_bg = levels.pop(0)
+        problem = _Problem(replace(cfg, grid=grid), level_bg)
+        w1, w2, exps, steps = _newton(problem, previous, cfg.tol_residual, cfg.max_newton,
+                                      finest=not levels)
+        history.extend(steps)
+        previous = grid, w1, w2
     u1, u2, exp_u1, exp_u2 = _recover_fields(problem, w1, w2, exps)
 
     grid = cfg.grid
-    state = State(ScalarField(grid, w1), ScalarField(grid, w2))
     return Solution(
         u1=ScalarField(grid, u1),
         u2=ScalarField(grid, u2),
         exp_u1=ScalarField(grid, exp_u1),
         exp_u2=ScalarField(grid, exp_u2),
-        state=state,
-        gradient=(ScalarField(grid, g1), ScalarField(grid, g2)),
+        state=State(ScalarField(grid, w1), ScalarField(grid, w2)),
         history=tuple(history),
         config=cfg,
         background=bg,

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import vortexlab as vl
-from vortexlab import solver
-from vortexlab.diagnostics import bilinear_sample, fit_exponential_decay, ring_means
+from vortexlab.diagnostics import fit_exponential_decay, ring_means
+from vortexlab.discretization import bilinear_sample
 from vortexlab.errors import InsufficientDecayWindow, WrongDomainKind
 from conftest import small_plane_setup
 
@@ -130,39 +130,25 @@ def test_residual_norm_detects_perturbations(torus_case):
         vl.ScalarField(cfg.grid, sol.state.w1.values + 1e-3 * rng.normal(size=cfg.grid.shape)),
         vl.ScalarField(cfg.grid, sol.state.w2.values + 1e-3 * rng.normal(size=cfg.grid.shape)),
     )
-    # residual_norm reads the gradient a Solution carries, so the perturbed
-    # state comes with its own
-    noisy = dataclasses.replace(
-        sol, state=noisy_state, gradient=vl.functional_gradient(noisy_state, cfg, sol.background)
-    )
+    noisy = dataclasses.replace(sol, state=noisy_state)
     assert vl.residual_norm(noisy) >= 1e-4
 
 
 @pytest.mark.parametrize("case", ["torus", "plane"])
-def test_residual_norm_reads_the_kept_gradient(case, torus_case, monkeypatch):
-    # the last Newton iteration's gradient is kept on the Solution: it equals
-    # functional_gradient at the final state bit for bit, and residual_norm
-    # reads it without applying a Laplacian
+def test_residual_norm_follows_a_replaced_state(case, torus_case):
+    # a Solution whose state is replaced reports the residual of the new
+    # state: here the iterate of a loose solve of the same problem, which
+    # reports the same residual as that solve's own Solution
     if case == "torus":
         cfg, sol = torus_case
+        bg = sol.background
     else:
         cfg, bg = small_plane_setup(n=32)
         sol = vl.newton_solve(cfg, bg)
-    recomputed = vl.functional_gradient(sol.state, cfg, sol.background)
-    for kept, fresh in zip(sol.gradient, recomputed):
-        assert np.array_equal(kept.values, fresh.values)
-    expected = vl.residual_norm(dataclasses.replace(sol, gradient=recomputed))
-
-    calls = []
-    laplacian_values = solver.laplacian_values
-
-    def counting(*args):
-        calls.append(1)
-        return laplacian_values(*args)
-
-    monkeypatch.setattr(solver, "laplacian_values", counting)
-    assert vl.residual_norm(sol) == expected
-    assert not calls
+    loose = vl.newton_solve(dataclasses.replace(cfg, tol_residual=1e-4), bg)
+    assert vl.residual_norm(loose) > 100.0 * vl.residual_norm(sol)
+    replaced = dataclasses.replace(sol, state=loose.state)
+    assert vl.residual_norm(replaced) == vl.residual_norm(loose)
 
 
 def test_residual_norm_vacuum():

@@ -6,7 +6,7 @@ import scipy.fft
 
 import vortexlab as vl
 from vortexlab.background import plane_source
-from vortexlab.discretization import _dst_by_fft, _dst_fold, _dst_unfold
+from vortexlab.discretization import _dst_by_fft, _dst_fold, _dst_unfold, coarsen, prolong
 from vortexlab.errors import NonPositiveShift, WrongDomainKind
 from conftest import band_limited_field
 
@@ -139,6 +139,60 @@ def test_poisson_preconditioner_zero_and_shift_guard():
     assert not out.values.any()
     with pytest.raises(NonPositiveShift):
         vl.poisson_precondition(z, z, 0.0)
+
+
+def test_coarsen_halves_each_side_on_the_same_domain():
+    torus = vl.Grid2D.periodic(2.0, 3.0, 128, 64)
+    coarse = coarsen(torus)
+    assert (coarse.nx, coarse.ny, coarse.kind) == (64, 32, torus.kind)
+    assert (coarse.hx, coarse.hy) == (2.0 * torus.hx, 2.0 * torus.hy)
+    assert (coarse.l1, coarse.l2) == (torus.l1, torus.l2)
+    for n, half in ((129, 65), (128, 64)):
+        plane = vl.Grid2D.dirichlet(9.0, n, n)
+        coarse = coarsen(plane)
+        assert (coarse.nx, coarse.ny, coarse.half_width) == (half, half, 9.0)
+    # odd sides nest: every other fine node is a coarse node
+    plane = vl.Grid2D.dirichlet(9.0, 129, 129)
+    assert np.allclose(plane.xs[::2], coarsen(plane).xs, rtol=0.0, atol=1e-14)
+
+
+def test_prolong_torus_is_trigonometric_interpolation(rng):
+    fine = vl.Grid2D.periodic(2.0, 3.0, 64, 32)
+    coarse = coarsen(fine)
+    # band-limited on the coarse grid, Nyquist modes included: reproduced
+    # exactly at every fine node
+    def field(grid):
+        x, y = grid.meshgrid()
+        kx, ky = 2 * np.pi / grid.l1, 2 * np.pi / grid.l2
+        return (0.3 + np.sin(3 * kx * x + 2 * ky * y) + 0.5 * np.cos(5 * ky * y - kx * x)
+                + 0.25 * np.cos(16 * kx * x) + 0.125 * np.cos(8 * ky * y)
+                + 0.0625 * np.cos(16 * kx * x) * np.cos(8 * ky * y))
+    out = prolong(coarse, field(coarse), fine)
+    assert out.shape == fine.shape
+    assert np.max(np.abs(out - field(fine))) < 1e-13
+    # arbitrary coarse values come back at the coarse nodes
+    values = rng.normal(size=coarse.shape)
+    assert np.max(np.abs(prolong(coarse, values, fine)[::2, ::2] - values)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [128, 129])
+def test_prolong_plane_is_bilinear(n, rng):
+    # exact on bilinear functions, ring included, whether or not the grids nest
+    fine = vl.Grid2D.dirichlet(9.0, n, n)
+    coarse = coarsen(fine)
+    def field(grid):
+        x, y = grid.meshgrid()
+        return 1.5 - 0.25 * x + 0.5 * y + 0.125 * x * y
+    assert np.max(np.abs(prolong(coarse, field(coarse), fine) - field(fine))) < 1e-12
+
+
+@pytest.mark.parametrize("fine", [vl.Grid2D.periodic(2.0, 3.0, 64, 32), vl.Grid2D.dirichlet(9.0, 129, 129),
+                                  vl.Grid2D.dirichlet(9.0, 128, 128)], ids=["torus", "plane-odd", "plane-even"])
+def test_prolong_commutes_with_negation_bit_for_bit(fine, rng):
+    # what keeps the species exchange exact across cascade levels
+    coarse = coarsen(fine)
+    values = rng.normal(size=coarse.shape)
+    assert np.array_equal(prolong(coarse, -values, fine), -prolong(coarse, values, fine))
 
 
 def test_integration_by_parts_on_torus(rng):

@@ -161,9 +161,29 @@ def _torus_config():
     )
 
 
-@pytest.mark.parametrize("make_cfg", [_torus_config, _plane_config], ids=["torus", "plane"])
+def _torus_example_config(n=128):
+    # the problem of configs/torus_example.json
+    l = 2 * np.pi
+    return vl.SolveConfig(
+        coupling=vl.coupling_from_pq(1.0, 2.0),
+        vortices=vl.VortexSet(up=((0.3 * l, 0.3 * l, 1), (0.7 * l, 0.55 * l, 1)),
+                              down=((0.5 * l, 0.75 * l, 1),)),
+        grid=vl.Grid2D.periodic(l, l, n, n),
+    )
+
+
+def _cascade_plane_config(n):
+    return replace(_plane_config(), grid=vl.Grid2D.dirichlet(9.0, n, n))
+
+
+@pytest.mark.parametrize(
+    "make_cfg",
+    [_torus_config, _plane_config, _torus_example_config, lambda: _cascade_plane_config(129)],
+    ids=["torus", "plane", "torus-cascade", "plane-cascade"],
+)
 def test_pcg_transform_count(make_cfg, monkeypatch):
-    # each CG iteration costs two preconditioner solves and no Laplacian
+    # each CG iteration costs two preconditioner solves and no Laplacian, on
+    # every cascade level
     counts = {"laplacian_in_pcg": 0, "laplacian": 0, "precond": 0}
     inside = []
     laplacian, precond, pcg = solver.laplacian_values, solver.solve_shifted_poisson, solver._pcg
@@ -317,8 +337,14 @@ def test_exchange_symmetry_is_bit_exact(torus_solution):
     # exchanging the species swaps v1 and v2, which keeps w1 and negates w2;
     # IEEE negation is exact, so the two solves agree bit for bit.  The plane
     # cases cover both sine transforms: an FFT at 33 x 33 (length 31), the
-    # folded matrix product at 32 x 32 (length 30)
-    for cfg, sol in (torus_solution, _exchange_plane_case(33), _exchange_plane_case(32)):
+    # folded matrix product at 32 x 32 (length 30).  The 128^2 torus and the
+    # 128^2 and 129^2 planes run the cascade, whose prolongation commutes
+    # with negation exactly, on non-nested and on nested plane grids
+    cascaded = _torus_example_config()
+    cases = (torus_solution, (cascaded, vl.newton_solve(cascaded)),
+             _exchange_plane_case(33), _exchange_plane_case(32),
+             _exchange_plane_case(128), _exchange_plane_case(129))
+    for cfg, sol in cases:
         swapped = vl.newton_solve(replace(cfg, vortices=cfg.vortices.swapped()))
         assert np.array_equal(sol.u1.values, swapped.u2.values)
         assert np.array_equal(sol.u2.values, swapped.u1.values)
@@ -410,6 +436,83 @@ def test_solve_config_rejects_mu_on_torus():
         replace(cfg, mu=5.0)
     plane_cfg, _ = small_plane_setup()
     assert replace(plane_cfg, mu=5.0).resolved_mu() == 5.0
+
+
+@pytest.mark.parametrize("value", [math.nan, 2.5, 3.0, "3", True])
+def test_solve_config_rejects_non_integer_max_newton(value):
+    cfg, _ = small_torus_setup()
+    with pytest.raises(ValueError, match="max_newton must be an integer"):
+        replace(cfg, max_newton=value)
+    assert replace(cfg, max_newton=np.int64(3)).max_newton == 3
+
+
+# -- Coarse-to-fine cascade --------------------------------------------------------
+
+@pytest.mark.parametrize("cfg, sides", [
+    (_torus_example_config(64), [64]),
+    (_torus_example_config(256), [64, 128, 256]),
+    (_cascade_plane_config(126), [126]),
+    (_cascade_plane_config(127), [64, 127]),
+    (_cascade_plane_config(256), [64, 128, 256]),
+    (_cascade_plane_config(257), [65, 129, 257]),
+], ids=["torus-64", "torus-256", "plane-126", "plane-127", "plane-256", "plane-257"])
+def test_cascade_levels(cfg, sides):
+    # sides halve while the coarser level keeps COARSEST_SIDE nodes per side
+    bg = vl.build_background(cfg.vortices, cfg.grid, mu=cfg.resolved_mu())
+    levels = solver._levels(cfg, bg)
+    assert [(grid.nx, grid.ny) for grid, _ in levels] == [(n, n) for n in sides]
+    assert levels[-1] == (cfg.grid, bg)
+    for (grid, level_bg), (fine, fine_bg) in zip(levels, levels[1:]):
+        assert level_bg.exp_u0_up.grid == grid
+        if grid.is_torus:
+            # the finer background's corner nodes, its normalization included
+            assert np.array_equal(level_bg.exp_u0_up.values, fine_bg.exp_u0_up.values[::2, ::2])
+            assert np.array_equal(level_bg.exp_u0_down.values, fine_bg.exp_u0_down.values[::2, ::2])
+        else:
+            assert level_bg.mu == bg.mu
+
+
+@pytest.mark.parametrize("make_cfg, sides", [
+    (_torus_example_config, [64, 128]),
+    (lambda: _cascade_plane_config(128), [64, 128]),
+    (lambda: _cascade_plane_config(129), [65, 129]),
+], ids=["torus-128", "plane-128", "plane-129"])
+def test_cascade_matches_direct_solve(make_cfg, sides):
+    cfg = make_cfg()
+    sol = vl.newton_solve(cfg)
+    zero = np.zeros(cfg.grid.shape)
+    direct = vl.newton_solve(cfg, initial_state=vl.State(vl.ScalarField(cfg.grid, zero),
+                                                         vl.ScalarField(cfg.grid, zero)))
+    # an initial_state solve runs on the solve's own grid only
+    assert {step.grid for step in direct.history} == {(cfg.grid.nx, cfg.grid.ny)}
+    # the history lists every level in order, the finest last, each counted from 0
+    grids = [step.grid for step in sol.history]
+    assert list(dict.fromkeys(grids)) == [(n, n) for n in sides]
+    assert grids == sorted(grids)
+    finest = [step for step in sol.history if step.grid == grids[-1]]
+    assert [step.iteration for step in finest] == list(range(len(finest)))
+    assert sol.newton_iterations == len(finest) - 1
+    assert sol.newton_iterations < direct.newton_iterations
+    assert sol.final_residual <= cfg.tol_residual
+    # the same minimizer
+    for a, b in ((sol.u1, direct.u1), (sol.u2, direct.u2)):
+        assert np.max(np.abs(a.values - b.values)) <= 1e-12
+    for a, b in zip(vl.flux_report(sol) + (vl.energy_report(sol),),
+                    vl.flux_report(direct) + (vl.energy_report(direct),)):
+        assert a == pytest.approx(b, rel=1e-12, abs=0.0)
+
+
+def test_coarse_level_hands_on_its_iterate_at_the_budget():
+    # a coarse level only supplies the next level's start, so its step
+    # budget ends it without an error; on the finest level it raises
+    cfg, bg = small_plane_setup(n=32)
+    problem = solver._Problem(cfg, bg)
+    w1, w2, _, steps = solver._newton(problem, None, cfg.tol_residual, 1, finest=False)
+    assert [step.iteration for step in steps] == [0, 1]
+    assert steps[-1].step_size == 0.0 and steps[-1].residual_inf > cfg.tol_residual
+    assert np.any(w1 != problem.initial_w()[0])
+    with pytest.raises(MaxIterationsExceeded):
+        solver._newton(problem, None, cfg.tol_residual, 1, finest=True)
 
 
 def test_plane_boundary_pinned_to_ground_state():
