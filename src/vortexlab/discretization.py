@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,15 @@ class GridKind(enum.Enum):
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
+
+
+def _check_nodes(kind: GridKind, nx: int, ny: int) -> None:
+    if kind is GridKind.PERIODIC_CELL:
+        # power-of-two sizes keep the FFT path exact and fast
+        if not (_is_power_of_two(nx) and _is_power_of_two(ny)):
+            raise ValueError(f"periodic grids require power-of-two nx and ny, not {nx} x {ny}")
+    elif nx < 4 or ny < 4:
+        raise ValueError(f"dirichlet grids need at least 4 x 4 nodes, not {nx} x {ny}")
 
 
 @dataclass(frozen=True)
@@ -61,21 +71,26 @@ class Grid2D:
     hy: float
     kind: GridKind
 
+    def __post_init__(self):
+        # every grid, from the factories below or from a file, is checked here
+        _check_nodes(self.kind, self.nx, self.ny)
+        if not (math.isfinite(self.x0) and math.isfinite(self.y0)
+                and 0 < self.hx < math.inf and 0 < self.hy < math.inf):
+            raise ValueError("a grid needs a finite origin and positive finite spacings, not "
+                             f"x0 y0 hx hy = {self.x0} {self.y0} {self.hx} {self.hy}")
+
     @staticmethod
     def periodic(l1: float, l2: float, nx: int, ny: int) -> "Grid2D":
         if not (l1 > 0 and l2 > 0):
             raise ValueError("cell sides must be positive")
-        # power-of-two sizes keep the FFT path exact and fast
-        if not (_is_power_of_two(nx) and _is_power_of_two(ny)):
-            raise ValueError("periodic grids require power-of-two nx, ny")
+        _check_nodes(GridKind.PERIODIC_CELL, nx, ny)  # before dividing by nx, ny
         return Grid2D(nx, ny, 0.0, 0.0, l1 / nx, l2 / ny, GridKind.PERIODIC_CELL)
 
     @staticmethod
     def dirichlet(half_width: float, nx: int, ny: int) -> "Grid2D":
         if not half_width > 0:
             raise ValueError("half width must be positive")
-        if nx < 4 or ny < 4:
-            raise ValueError("dirichlet grids need at least a 4x4 node set")
+        _check_nodes(GridKind.DIRICHLET_SQUARE, nx, ny)  # before dividing by nx - 1, ny - 1
         h_x = 2.0 * half_width / (nx - 1)
         h_y = 2.0 * half_width / (ny - 1)
         return Grid2D(nx, ny, -half_width, -half_width, h_x, h_y, GridKind.DIRICHLET_SQUARE)

@@ -9,9 +9,12 @@ ASCII ``.fld`` layout:
     x0 y0 hx hy
     <nx*ny values, row-major, one per line>
 
-so a dump reads back as the same field on the same grid, kind included.
-Version 1 files, whose first line is ``vortexfld 1``, are laid out the same
-but do not record the kind; reading one takes it as an argument.
+Each value, like each number of the header's third line, is written as
+``"%.17g"``: 17 significant digits, exact on read.  So a dump reads back as
+the same field on the same grid, kind included.  ``read_fld`` refuses a
+grid line that no grid of its kind has, and a file whose count of values is
+not nx*ny.  Version 1 files, whose first line is ``vortexfld 1``, are laid
+out the same but do not record the kind; reading one takes it as an argument.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .discretization import Grid2D, GridKind, ScalarField
+from .fldtext import format_values, parse_values
 
 
 _FLOAT_FORMAT = "%.17g"
@@ -78,31 +82,47 @@ def write_json(path: Path, obj) -> None:
     Path(path).write_text(dumps_canonical(obj), encoding="ascii")
 
 
+_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"  # line breaks str.splitlines honours besides "\n"
+_TO_NEWLINE = bytes.maketrans(_BREAKS, b"\n" * len(_BREAKS))
+
+
 def write_fld(path: Path, field: ScalarField) -> None:
     grid = field.grid
-    values = field.values
-    if not np.all(np.isfinite(values)):
+    if not np.all(np.isfinite(field.values)):
         raise ValueError("refusing to serialize a non-finite number")
-    with open(path, "w", encoding="ascii") as f:
-        f.write(f"vortexfld 2 {grid.kind.value}\n")
-        f.write(f"{grid.nx} {grid.ny}\n")
-        f.write(f"{format_float(grid.x0)} {format_float(grid.y0)} "
-                f"{format_float(grid.hx)} {format_float(grid.hy)}\n")
-        # one format call per row, on Python floats: the bytes of format_float
-        # per value without its per-value checks, and one row string at a time
-        row_format = (_FLOAT_FORMAT + "\n") * grid.nx
-        for row in values:
-            f.write(row_format % tuple(row.tolist()))
+    with open(path, "wb") as f:
+        f.write(f"vortexfld 2 {grid.kind.value}\n{grid.nx} {grid.ny}\n"
+                f"{format_float(grid.x0)} {format_float(grid.y0)} "
+                f"{format_float(grid.hx)} {format_float(grid.hy)}\n".encode("ascii"))
+        for text in format_values(field.values):
+            f.write(text)
+
+
+def _header_numbers(path, line: bytes, convert, names: str) -> list:
+    tokens = line.split()
+    try:
+        if len(tokens) == len(names.split()):
+            return [convert(t) for t in tokens]
+    except ValueError:
+        pass
+    raise ValueError(f"{path}: expected '{names}' in the header, found {line.decode()!r}")
 
 
 def read_fld(path: Path, kind: GridKind | None = None) -> ScalarField:
     """Read a ``.fld`` dump.
 
     A v2 file carries its grid kind; ``kind``, if given, must agree with it.
-    A v1 file does not, so ``kind`` is required there.
+    A v1 file does not, so ``kind`` is required there.  The node counts and
+    spacings must suit the grid kind, and the file must hold exactly nx*ny
+    values.
     """
-    lines = Path(path).read_text(encoding="ascii").splitlines()
-    header = lines[0].split(" ") if lines else []
+    data = Path(path).read_bytes()
+    if not data.isascii():
+        raise ValueError(f"{path} is not an ASCII file")
+    if any(c in data for c in _BREAKS):
+        data = data.replace(b"\r\n", b"\n").translate(_TO_NEWLINE)
+    lines = data.split(b"\n", 3)
+    header = lines[0].decode().split(" ")
     if header[:2] == ["vortexfld", "2"] and len(header) == 3:
         stored = GridKind(header[2])
         if kind not in (None, stored):
@@ -112,10 +132,16 @@ def read_fld(path: Path, kind: GridKind | None = None) -> ScalarField:
         raise ValueError(f"not a vortexfld file: {path}")
     elif kind is None:
         raise ValueError(f"{path} is a v1 .fld file, which does not record its grid kind: pass kind")
-    nx, ny = (int(t) for t in lines[1].split())
-    x0, y0, hx, hy = (float(t) for t in lines[2].split())
-    values = np.array([float(t) for t in lines[3:3 + nx * ny]]).reshape(ny, nx)
-    return ScalarField(Grid2D(nx, ny, x0, y0, hx, hy, kind), values)
+    if len(lines) < 3:
+        raise ValueError(f"{path}: the header ends before its grid line")
+    nx, ny = _header_numbers(path, lines[1], int, "nx ny")
+    x0, y0, hx, hy = _header_numbers(path, lines[2], float, "x0 y0 hx hy")
+    try:
+        grid = Grid2D(nx, ny, x0, y0, hx, hy, kind)
+        values = parse_values(lines[3] if len(lines) == 4 else b"", nx * ny)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return ScalarField(grid, values.reshape(grid.shape))
 
 
 def write_radial_profile(path: Path, radii, u1_means, u2_means, decay_means) -> None:

@@ -431,3 +431,112 @@ def test_fld_refuses_non_finite(tmp_path):
     with pytest.raises(ValueError):
         write_fld(tmp_path / "f.fld", field)
     assert not (tmp_path / "f.fld").exists()
+
+
+FLD_EDGE_VALUES = [
+    0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    1e16, 1e17, 9.999999999999999e16,
+    1e-4, 9.9999999999999995e-05, 1e-5,
+    1e22, 1e23, 0.1,
+]
+
+
+def _fld_body(path):
+    return path.read_bytes().split(b"\n", 3)[3]
+
+
+def _write_fld_text(path, kind, nx, ny, spacing, lines):
+    header = f"vortexfld 2 {kind}\n{nx} {ny}\n0 0 {spacing} {spacing}\n"
+    path.write_text(header + "".join(line + "\n" for line in lines))
+    return path
+
+
+def test_fld_writer_matches_percent_g_on_random_bit_patterns(tmp_path, rng):
+    # 2**17 doubles from random bit patterns, finite ones kept, then the edge list
+    grid = vl.Grid2D.periodic(1.0, 1.0, 512, 256)
+    values = rng.integers(0, 2**64, size=2 * grid.nx * grid.ny, dtype=np.uint64).view(np.float64)
+    values = values[np.isfinite(values)][: grid.nx * grid.ny]
+    edges = np.array(FLD_EDGE_VALUES)
+    values[: 2 * edges.size] = np.concatenate((edges, -edges))
+    write_fld(tmp_path / "f.fld", vl.ScalarField(grid, values.reshape(grid.shape)))
+    expected = "".join("%.17g\n" % v for v in values.tolist()).encode("ascii")
+    assert _fld_body(tmp_path / "f.fld") == expected
+    back = read_fld(tmp_path / "f.fld")
+    assert np.array_equal(back.values.ravel().view(np.uint64), values.view(np.uint64))
+
+
+def test_fld_reader_matches_float_on_any_line_float_accepts(tmp_path):
+    lines = ["%.17g" % v for v in FLD_EDGE_VALUES]
+    lines += ["-" + line for line in lines]
+    lines += [" 1.50", "1E5", "+2", "1_000.5", "-0", "1.", ".5", "007", "9007199254740993",
+              "1.00000762939453125", "0.00012300", "-1.5e-05", "12345678901234567890123",
+              "1000000000000000000", "12345678901234567890", "1.234567890123456789e-01",
+              "-0.1234567890123456789"]
+    lines += ["0"] * (-len(lines) % 4)
+    path = _write_fld_text(tmp_path / "f.fld", "dirichlet_square", 4, len(lines) // 4, 1.0, lines)
+    back = read_fld(path).values.ravel()
+    expected = np.array([float(line) for line in lines])
+    assert np.array_equal(back.view(np.uint64), expected.view(np.uint64))
+
+
+def test_fld_reader_matches_float_on_random_line_shapes(tmp_path, rng):
+    # 1 to 23 digits, leading zeros, a point anywhere, e+d .. e-ddd, a sign
+    lines = []
+    for _ in range(20000):
+        text = "".join(rng.choice(list("0123456789"), int(rng.integers(1, 24))))
+        if rng.random() < 0.3:
+            text = "0" * int(rng.integers(1, 6)) + text
+        if rng.random() < 0.6:
+            dot = int(rng.integers(0, len(text) + 1))
+            text = text[:dot] + "." + text[dot:]
+        if rng.random() < 0.5:
+            power = str(int(rng.integers(0, 400))).zfill(int(rng.integers(1, 4)))
+            text += "e" + str(rng.choice(["+", "-"])) + power
+        lines.append("-" + text if rng.random() < 0.5 else text)
+    lines = [line for line in lines if math.isfinite(float(line))]
+    del lines[len(lines) // 4 * 4:]
+    path = _write_fld_text(tmp_path / "f.fld", "dirichlet_square", 4, len(lines) // 4, 1.0, lines)
+    back = read_fld(path).values.ravel()
+    expected = np.array([float(line) for line in lines])
+    assert np.array_equal(back.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "kind, nx, ny, spacing, count, message",
+    [
+        ("periodic_cell", 4, 4, 0.5, 15, "15 value lines, not nx\\*ny = 16"),
+        ("periodic_cell", 0, 0, 0.5, 0, "power-of-two nx and ny, not 0 x 0"),
+        ("periodic_cell", 3, 4, 0.5, 12, "power-of-two nx and ny, not 3 x 4"),
+        ("dirichlet_square", 3, 4, 0.5, 12, "at least 4 x 4 nodes, not 3 x 4"),
+        ("periodic_cell", 4, 4, 0.0, 16, "positive finite spacings"),
+        ("dirichlet_square", 4, 4, -1.0, 16, "positive finite spacings"),
+        ("dirichlet_square", 4, 4, "nan", 16, "positive finite spacings"),
+    ],
+)
+def test_fld_reader_refuses_bad_header_or_count(tmp_path, kind, nx, ny, spacing, count, message):
+    path = _write_fld_text(tmp_path / "bad.fld", kind, nx, ny, spacing, ["0.5"] * count)
+    with pytest.raises(ValueError, match=message) as info:
+        read_fld(path)
+    assert str(path) in str(info.value)
+
+
+def test_fld_reader_refuses_lines_past_the_field(tmp_path):
+    field = vl.ScalarField(vl.Grid2D.periodic(1.0, 1.0, 4, 4), np.zeros((4, 4)))
+    write_fld(tmp_path / "f.fld", field)
+    with open(tmp_path / "f.fld", "a") as f:
+        f.write("99\n17\ngarbage")
+    with pytest.raises(ValueError, match="19 value lines, not nx\\*ny = 16"):
+        read_fld(tmp_path / "f.fld")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("na\xefve", "(?i)ascii"), ("nan", "non-finite"), ("x", "value line 16")],
+    ids=["non_ascii", "nan", "not_a_number"],
+)
+def test_fld_reader_still_refuses_bad_values(tmp_path, text, message):
+    path = tmp_path / "f.fld"
+    header = "vortexfld 2 periodic_cell\n4 4\n0 0 0.5 0.5\n"
+    path.write_bytes((header + "0.5\n" * 15 + text + "\n").encode("utf-8"))
+    with pytest.raises(ValueError, match=message):
+        read_fld(path)

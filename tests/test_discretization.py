@@ -241,6 +241,29 @@ def test_grid_constructors_validate():
     for half_width in (0.0, -3.0):
         with pytest.raises(ValueError, match="half width must be positive"):
             vl.Grid2D.dirichlet(half_width, 8, 8)
+    with pytest.raises(ValueError, match="positive finite spacings"):
+        vl.Grid2D.periodic(math.inf, 1.0, 4, 4)
+    with pytest.raises(ValueError, match="finite origin"):
+        vl.Grid2D.dirichlet(math.inf, 8, 8)
+
+
+@pytest.mark.parametrize(
+    "nx, ny, x0, hx, kind, message",
+    [
+        (12, 16, 0.0, 0.5, vl.GridKind.PERIODIC_CELL, "power-of-two nx and ny, not 12 x 16"),
+        (0, 0, 0.0, 0.5, vl.GridKind.PERIODIC_CELL, "power-of-two nx and ny, not 0 x 0"),
+        (3, 8, 0.0, 0.5, vl.GridKind.DIRICHLET_SQUARE, "at least 4 x 4 nodes, not 3 x 8"),
+        (8, 8, 0.0, 0.0, vl.GridKind.PERIODIC_CELL, "positive finite spacings"),
+        (8, 8, 0.0, -1.0, vl.GridKind.DIRICHLET_SQUARE, "positive finite spacings"),
+        (8, 8, 0.0, math.nan, vl.GridKind.DIRICHLET_SQUARE, "positive finite spacings"),
+        (8, 8, 0.0, math.inf, vl.GridKind.PERIODIC_CELL, "positive finite spacings"),
+        (8, 8, -math.inf, 0.5, vl.GridKind.DIRICHLET_SQUARE, "finite origin"),
+    ],
+)
+def test_grid_checks_itself(nx, ny, x0, hx, kind, message):
+    # the checks hold for a grid built directly, as read_fld builds one
+    with pytest.raises(ValueError, match=message):
+        vl.Grid2D(nx, ny, x0, x0, hx, hx, kind)
 
 
 def test_grid_states_its_domain():
