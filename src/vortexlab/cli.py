@@ -281,8 +281,7 @@ def run_solve(resolved: dict, out_dir: Path, emit_fields: bool, emit_profiles: b
     if emit_fields:
         write_fld(out_dir / "u1.fld", sol.u1)
         write_fld(out_dir / "u2.fld", sol.u2)
-        maps = diagnostics.field_maps(sol, params)
-        write_fld(out_dir / "B12.fld", maps["B12"])
+        write_fld(out_dir / "B12.fld", diagnostics.b12_map(sol, params))
     if emit_profiles and not cfg.grid.is_torus:
         _emit_profiles(out_dir, cfg, sol)
     return 0

@@ -149,18 +149,29 @@ def decay_fit(sol: Solution, n_rings: int = 32, n_angles: int = 720) -> DecayFit
 
 # -- First-integral field maps -----------------------------------------------------
 
+def _psi_sq(sol: Solution, params: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
+    rho = params.average_density
+    return rho * sol.exp_u1.values, rho * sol.exp_u2.values
+
+
+def b12_map(sol: Solution, params: PhysicalParams) -> ScalarField:
+    """The ``B12`` map of ``field_maps`` alone, the one map that
+    ``vortexlab solve --emit-fields`` writes."""
+    psi_up, psi_dn = _psi_sq(sol, params)
+    p, q = params.p, params.q
+    return ScalarField(sol.u1.grid, 2 * (p + q) * psi_up + 2 * (p - q) * psi_dn - params.eb)
+
+
 def field_maps(sol: Solution, params: PhysicalParams) -> dict[str, ScalarField]:
     """Amplitude-level reconstruction of the measurable fields (M = 1 units)."""
     grid = sol.u1.grid
-    rho = params.average_density
+    psi_up, psi_dn = _psi_sq(sol, params)
     p, q = params.p, params.q
     eb = params.eb
-    psi_up = rho * sol.exp_u1.values
-    psi_dn = rho * sol.exp_u2.values
     return {
         "psi_up_sq": ScalarField(grid, psi_up),
         "psi_down_sq": ScalarField(grid, psi_dn),
-        "B12": ScalarField(grid, 2 * (p + q) * psi_up + 2 * (p - q) * psi_dn - eb),
+        "B12": b12_map(sol, params),
         "B12_tilde": ScalarField(grid, 2 * (p - q) * psi_up + 2 * (p + q) * psi_dn - eb),
         "b0": ScalarField(grid, (p + q) * psi_up + (p - q) * psi_dn + eb),
         "b0_tilde": ScalarField(grid, (p - q) * psi_up + (p + q) * psi_dn + eb),

@@ -18,8 +18,9 @@ order (odd modes first).  ``_dst_by_fft`` makes that choice, for the transform a
 mode order of the tridiagonal factor alike.
 
 Coarse-to-fine solves halve a grid with ``coarsen`` and carry values back
-with ``prolong``: trigonometric interpolation on periodic cells, bilinear
-interpolation (``bilinear_sample``, the one sampler) on Dirichlet squares.
+with ``prolong``: trigonometric interpolation on periodic cells, separable
+cubic (4-point Lagrange) interpolation on Dirichlet squares.  Points off the
+grid are sampled bilinearly (``bilinear_sample``, the one point sampler).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 import scipy.linalg.lapack
+import scipy.sparse
 
 from .errors import GridMismatch, NonPositiveShift, WrongDomainKind
 
@@ -239,6 +241,22 @@ def coarsen(grid: Grid2D) -> Grid2D:
     return Grid2D.dirichlet(grid.half_width, (grid.nx + 1) // 2, (grid.ny + 1) // 2)
 
 
+def _cubic_weights(n_coarse: int, pos: np.ndarray) -> scipy.sparse.csr_array:
+    """Fine x coarse matrix of 4-point Lagrange (cubic) weights at the
+    fractional coarse indices ``pos``, four nonzeros per row.
+
+    Each row weighs the four coarse nodes around its point, the stencil
+    shifted inward at either end so that it never leaves the grid.
+    """
+    first = np.clip(np.floor(pos).astype(int) - 1, 0, n_coarse - 4)
+    t = pos - first  # the point's offset from the stencil's first node
+    weights = np.stack([np.prod([(t - j) / (k - j) for j in range(4) if j != k], axis=0)
+                        for k in range(4)], axis=1)
+    columns = first[:, None] + np.arange(4)
+    return scipy.sparse.csr_array((weights.ravel(), columns.ravel(), np.arange(0, weights.size + 1, 4)),
+                                  shape=(pos.size, n_coarse))
+
+
 def prolong(coarse: Grid2D, values: np.ndarray, fine: Grid2D) -> np.ndarray:
     """Values on ``coarse`` carried onto every node of ``fine``, the grid it
     was coarsened from.
@@ -246,14 +264,19 @@ def prolong(coarse: Grid2D, values: np.ndarray, fine: Grid2D) -> np.ndarray:
     On a periodic cell this is trigonometric interpolation: the rfft2
     spectrum zero-padded, each Nyquist mode split evenly between its + and
     - frequency so that the interpolant stays real and takes the coarse
-    values at the coarse nodes.  On a Dirichlet square it is bilinear
-    interpolation, which needs no nesting.  Both are linear with weights
-    that do not depend on the values, so negated values prolong to exactly
-    the negated result.
+    values at the coarse nodes.  On a Dirichlet square it is separable cubic
+    interpolation, P_y @ values @ P_x^T with four weights per row of each
+    1-D matrix (``_cubic_weights``): exact on bicubic polynomials, ring
+    included, and needing no nesting.  An interpolant of higher order than
+    the O(h^2) scheme is what lets nested iteration start the finer level
+    within its discretization error.  Both are linear with weights that do
+    not depend on the values, so negated values prolong to exactly the
+    negated result.
     """
     if not coarse.is_torus:
-        # a row of x against a column of y broadcasts to the fine nodes
-        return bilinear_sample(coarse, values, fine.xs[None, :], fine.ys[:, None])
+        p_x = _cubic_weights(coarse.nx, (fine.xs - coarse.x0) / coarse.hx)
+        p_y = _cubic_weights(coarse.ny, (fine.ys - coarse.y0) / coarse.hy)
+        return p_y @ values @ p_x.T
     ny, nx = values.shape
     spec = np.fft.rfft2(values)
     padded = np.zeros((fine.ny, fine.nx // 2 + 1), dtype=complex)

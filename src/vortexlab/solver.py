@@ -54,8 +54,8 @@ side, while the coarser grid keeps at least ``COARSEST_SIDE`` nodes per side:
 n/2 on the torus, (n + 1)//2 on the plane, whose grids then nest when n is
 odd.  The coarsest level starts from w = 0; each level's converged w is
 prolonged onto the next finer grid as that level's start (``prolong``:
-spectral zero-padding on the torus, bilinear interpolation of the interior
-on the plane, whose ring keeps the level's own Dirichlet data).  The
+spectral zero-padding on the torus, separable cubic interpolation of the
+interior on the plane, whose ring keeps the level's own Dirichlet data).  The
 functional is strictly convex on every grid, so each level's minimizer is
 the next level's near neighbour, and by mesh independence the solve's own
 grid needs only the last, quadratic Newton steps.  A torus level's

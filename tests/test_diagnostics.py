@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import vortexlab as vl
-from vortexlab.diagnostics import fit_exponential_decay, ring_means
+from vortexlab.diagnostics import b12_map, fit_exponential_decay, ring_means
 from vortexlab.discretization import bilinear_sample
 from vortexlab.errors import InsufficientDecayWindow, WrongDomainKind
 from conftest import small_plane_setup
@@ -103,6 +103,15 @@ def test_field_maps_flux_consistency(torus_case):
     b12_integral = vl.integrate(maps["B12"])
     assert b12_integral == pytest.approx(2.0 * params.p * f1, rel=1e-12)
     assert b12_integral == pytest.approx(-2 * math.pi * params.p * 1, rel=5e-3)
+
+
+def test_b12_map_is_the_field_maps_entry(torus_case):
+    # the CLI writes B12.fld from b12_map; it must hold the same bits
+    _, sol = torus_case
+    params = vl.PhysicalParams(1.0, 2.0, average_density=1.3)
+    b12 = b12_map(sol, params)
+    assert b12.grid == sol.u1.grid
+    assert np.array_equal(b12.values, vl.field_maps(sol, params)["B12"].values)
 
 
 def test_field_maps_value_at_on_node_vortex():

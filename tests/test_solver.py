@@ -502,6 +502,20 @@ def test_cascade_matches_direct_solve(make_cfg, sides):
         assert a == pytest.approx(b, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("n", [256, 257], ids=["non-nested", "nested"])
+def test_cascade_finest_level_takes_at_most_two_steps(n):
+    # the problem of configs/plane_example.json: the cubic start leaves the
+    # finest level within its discretization error, so only the quadratic
+    # tail remains
+    cfg = vl.SolveConfig(coupling=vl.coupling_from_pq(1.0, 2.0),
+                         vortices=vl.VortexSet(up=((0.0, 0.0, 1),)),
+                         grid=vl.Grid2D.dirichlet(9.0, n, n))
+    sol = vl.newton_solve(cfg)
+    assert sol.history[-1].grid == (n, n)
+    assert sol.newton_iterations <= 2
+    assert sol.final_residual <= cfg.tol_residual
+
+
 def test_coarse_level_hands_on_its_iterate_at_the_budget():
     # a coarse level only supplies the next level's start, so its step
     # budget ends it without an error; on the finest level it raises
