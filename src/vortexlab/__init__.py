@@ -23,18 +23,10 @@ from .diagnostics import (
     energy_report,
     eta_report,
     field_maps,
-    fit_exponential_decay,
     flux_report,
     residual_norm,
 )
-from .discretization import (
-    Grid2D,
-    GridKind,
-    ScalarField,
-    apply_laplacian,
-    integrate,
-    poisson_precondition,
-)
+from .discretization import Grid2D, GridKind, ScalarField
 from .model import (
     AdmissibilityReport,
     CouplingMatrix,
@@ -42,8 +34,6 @@ from .model import (
     VortexSet,
     check_admissibility,
     coupling_from_pq,
-    eigen_forward,
-    eigen_inverse,
     merge_coincident,
 )
 from .solver import (

@@ -10,8 +10,8 @@ write.  report.json embeds the fully resolved configuration; pointing
 --config at a report reruns it and reproduces the outputs byte for byte,
 into any --out (pass the emit flags again to re-emit fields or profiles).
 
-Exit codes: 0 success, 1 malformed/invalid config, 2 infeasible domain,
-3 solver failure (non-convergence, or an error raised inside the solver).
+Exit codes: 0 success, 1 invalid config or unwritable outputs, 2 infeasible
+domain, 3 solver failure (non-convergence, or an error raised inside the solver).
 """
 
 from __future__ import annotations
@@ -258,10 +258,8 @@ def _emit_profiles(out_dir: Path, cfg, sol) -> None:
     grid = cfg.grid
     r_half = grid.half_width
     radii = np.linspace(0.1 * r_half, 0.95 * r_half, 64)
-    u1 = diagnostics.ring_means(grid, sol.u1.values, radii)
-    u2 = diagnostics.ring_means(grid, sol.u2.values, radii)
-    dev1 = diagnostics.ring_means(grid, (sol.u1.values + LOG2) ** 2, radii)
-    dev2 = diagnostics.ring_means(grid, (sol.u2.values + LOG2) ** 2, radii)
+    u = np.stack((sol.u1.values, sol.u2.values))
+    u1, u2, dev1, dev2 = diagnostics.ring_means(grid, np.concatenate((u, (u + LOG2) ** 2)), radii)
     write_radial_profile(out_dir / "radial_profile.csv", radii, u1, u2, dev1 + dev2)
 
 
@@ -308,20 +306,13 @@ def run_oracle_compare(resolved: dict, out_dir: Path) -> int:
     r_lo = max(0.5, 3.0 * max(grid.hx, grid.hy))
     r_hi = 0.8 * r_half
     radii = np.linspace(r_lo, r_hi, 48)
-    x, y = diagnostics.ring_points(radii, 720)
+    x, y = diagnostics.ring_points(radii)
     # sample u through the analytic background plus the interpolated smooth
     # correction; interpolating u directly would lose accuracy at the core
-    v1, v2 = eigen_inverse_values(sol.state.w1.values, sol.state.w2.values, k)
-    u1_rings = (
-        plane_log_u0(cfg.vortices.up, mu, x, y)
-        + bilinear_sample(grid, v1, x, y)
-        - LOG2
-    ).mean(axis=1)
-    u2_rings = (
-        plane_log_u0(cfg.vortices.down, mu, x, y)
-        + bilinear_sample(grid, v2, x, y)
-        - LOG2
-    ).mean(axis=1)
+    v = np.stack(eigen_inverse_values(sol.state.w1.values, sol.state.w2.values, k))
+    v1_rings, v2_rings = bilinear_sample(grid, v, x, y)
+    u1_rings = (plane_log_u0(cfg.vortices.up, mu, x, y) + v1_rings - LOG2).mean(axis=1)
+    u2_rings = (plane_log_u0(cfg.vortices.down, mu, x, y) + v2_rings - LOG2).mean(axis=1)
     u1_ref = np.interp(radii, r_oracle, u1_oracle)
     u2_ref = np.interp(radii, r_oracle, u2_oracle)
 
@@ -369,6 +360,9 @@ def main(argv=None) -> int:
         if args.mode == "solve":
             return run_solve(resolved, args.out, args.emit_fields, args.emit_profiles)
         return run_oracle_compare(resolved, args.out)
+    except OSError as exc:
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return 1
     except InfeasibleDomain as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2

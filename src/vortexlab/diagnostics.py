@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import Grid2D, ScalarField, bilinear_sample, integrate
+from .discretization import Grid2D, ScalarField, bilinear_sample, integrate_values
 from .errors import InsufficientDecayWindow
-from .model import PhysicalParams, VortexSet, eigen_inverse
+from .model import PhysicalParams, VortexSet, eigen_inverse_values
 from .solver import LOG2, Solution, functional_gradient
 
 
@@ -49,38 +49,44 @@ def flux_report(sol: Solution) -> tuple[float, float]:
     k = sol.config.coupling
     e1, e2 = sol.exp_u1.values, sol.exp_u2.values
     grid = sol.u1.grid
-    flux1 = integrate(ScalarField(grid, k.k11 * e1 + k.k12 * e2 - 1.0))
-    flux2 = integrate(ScalarField(grid, k.k21 * e1 + k.k22 * e2 - 1.0))
+    flux1 = integrate_values(grid, k.k11 * e1 + k.k12 * e2 - 1.0)
+    flux2 = integrate_values(grid, k.k21 * e1 + k.k22 * e2 - 1.0)
     return flux1, flux2
 
 
 def eta_report(sol: Solution) -> tuple[float, float]:
     """Measured exponential masses; must match the closed forms eta1, eta2."""
-    sol.config.grid.require_torus()
-    return integrate(sol.exp_u1), integrate(sol.exp_u2)
+    grid = sol.config.grid.require_torus()
+    return integrate_values(grid, sol.exp_u1.values), integrate_values(grid, sol.exp_u2.values)
 
 
 def energy_report(sol: Solution) -> float:
     """int (e^{u1} + e^{u2} - 1); equals -pi (N1+N2)/2 since K has column sums 2."""
-    grid = sol.u1.grid
-    return integrate(ScalarField(grid, sol.exp_u1.values + sol.exp_u2.values - 1.0))
+    return integrate_values(sol.u1.grid, sol.exp_u1.values + sol.exp_u2.values - 1.0)
 
 
 # -- Ring sampling and decay fits -------------------------------------------------
 
-def ring_points(radii: np.ndarray, n_angles: int) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) of shape (len(radii), n_angles) on origin-centered circles, at mid-cell angles."""
-    theta = (np.arange(n_angles) + 0.5) * (2.0 * np.pi / n_angles)
+RING_ANGLES = 720  # samples per ring, at mid-cell angles
+DECAY_RINGS = 32  # rings across the decay-fit annulus
+
+
+def ring_points(radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) of shape (len(radii), RING_ANGLES) on origin-centered circles, at mid-cell angles."""
+    theta = (np.arange(RING_ANGLES) + 0.5) * (2.0 * np.pi / RING_ANGLES)
     x = radii[:, None] * np.cos(theta)[None, :]
     y = radii[:, None] * np.sin(theta)[None, :]
     return x, y
 
 
-def ring_means(grid: Grid2D, values: np.ndarray, radii: np.ndarray,
-               n_angles: int = 720) -> np.ndarray:
-    """Angular averages of a grid field over origin-centered circles."""
-    x, y = ring_points(radii, n_angles)
-    return bilinear_sample(grid, values, x, y).mean(axis=1)
+def ring_means(grid: Grid2D, values: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Angular averages over origin-centered circles of a grid field, or of
+    each field of a stack (..., ny, nx): shape values.shape[:-2] + radii.shape."""
+    x, y = ring_points(radii)
+    rings = bilinear_sample(grid, values, x, y)
+    # each field's own (rings, angles) reduction sums in the order of a field alone
+    means = [field.mean(axis=1) for field in rings.reshape(-1, *x.shape)]
+    return np.reshape(means, rings.shape[:-1])
 
 
 def fit_log_slope(radii: np.ndarray, means: np.ndarray) -> tuple[float, float]:
@@ -99,50 +105,42 @@ def fit_log_slope(radii: np.ndarray, means: np.ndarray) -> tuple[float, float]:
     return -float(coef[0]), r2
 
 
-def fit_exponential_decay(field: ScalarField, r_lo: float, r_hi: float,
-                          n_rings: int = 32, n_angles: int = 720) -> tuple[float, float]:
-    """Fit an exponential rate to ring averages of a positive quantity field."""
-    radii = np.linspace(r_lo, r_hi, n_rings)
-    means = ring_means(field.grid, field.values, radii, n_angles)
-    return fit_log_slope(radii, means)
+def _with_gradients(grid: Grid2D, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """(u, du/dx, du/dy) of each species as one (2, 3, ny, nx) stack; the
+    central differences are zero on the edges they cannot reach, and are
+    written in place, so the stack is the only full-size array made."""
+    fields = np.zeros((2, 3, *grid.shape))
+    fields[0, 0], fields[1, 0] = u1, u2
+    u = fields[:, 0]
+    ddx = fields[:, 1, :, 1:-1]
+    ddy = fields[:, 2, 1:-1, :]
+    np.subtract(u[:, :, 2:], u[:, :, :-2], out=ddx)
+    ddx /= 2.0 * grid.hx
+    np.subtract(u[:, 2:, :], u[:, :-2, :], out=ddy)
+    ddy /= 2.0 * grid.hy
+    return fields
 
 
-def _central_gradients(grid: Grid2D, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gx = np.zeros_like(values)
-    gy = np.zeros_like(values)
-    gx[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * grid.hx)
-    gy[1:-1, :] = (values[2:, :] - values[:-2, :]) / (2.0 * grid.hy)
-    return gx, gy
-
-
-def decay_fit(sol: Solution, n_rings: int = 32, n_angles: int = 720) -> DecayFit:
+def decay_fit(sol: Solution) -> DecayFit:
     """Fit the far-field rates of (u1+ln2)^2+(u2+ln2)^2 and of the gradients.
 
     The fit annulus is r in [0.5 R, 0.8 R]; the theorem guarantees a rate of
     at least (1-eps) sqrt(lambda0).
     """
     r_half = sol.config.grid.require_plane().half_width
-    r_lo, r_hi = 0.5 * r_half, 0.8 * r_half
     grid = sol.u1.grid
-    radii = np.linspace(r_lo, r_hi, n_rings)
-    x, y = ring_points(radii, n_angles)
-    dev1 = bilinear_sample(grid, sol.u1.values, x, y) + LOG2
-    dev2 = bilinear_sample(grid, sol.u2.values, x, y) + LOG2
+    radii = np.linspace(0.5 * r_half, 0.8 * r_half, DECAY_RINGS)
+    x, y = ring_points(radii)
+    rings = bilinear_sample(grid, _with_gradients(grid, sol.u1.values, sol.u2.values), x, y)
+    dev1 = rings[0, 0] + LOG2
+    dev2 = rings[1, 0] + LOG2
     inner_peak = float(max(np.max(np.abs(dev1[0])), np.max(np.abs(dev2[0]))))
     if inner_peak > 1e-3:
         raise InsufficientDecayWindow(
             f"|u + ln 2| = {inner_peak:.3g} at r = 0.5 R; enlarge the domain"
         )
     rate, r2 = fit_log_slope(radii, (dev1**2 + dev2**2).mean(axis=1))
-
-    gx1, gy1 = _central_gradients(grid, sol.u1.values)
-    gx2, gy2 = _central_gradients(grid, sol.u2.values)
-    gsq = (
-        bilinear_sample(grid, gx1, x, y) ** 2
-        + bilinear_sample(grid, gy1, x, y) ** 2
-        + bilinear_sample(grid, gx2, x, y) ** 2
-        + bilinear_sample(grid, gy2, x, y) ** 2
-    )
+    gsq = rings[0, 1] ** 2 + rings[0, 2] ** 2 + rings[1, 1] ** 2 + rings[1, 2] ** 2
     grate, gr2 = fit_log_slope(radii, gsq.mean(axis=1))
     return DecayFit(rate=rate, r2=r2, gradient_rate=grate, gradient_r2=gr2)
 
@@ -207,13 +205,13 @@ def residual_norm(sol: Solution) -> float:
     """
     cfg = sol.config
     g1, g2 = functional_gradient(sol.state, cfg, sol.background)
-    r1, r2 = eigen_inverse(g1, g2, cfg.coupling)
+    r1, r2 = eigen_inverse_values(g1.values, g2.values, cfg.coupling)
     mask = _vortex_cell_mask(cfg.grid, cfg.vortices)
     if not cfg.grid.is_torus:
         mask[0, :] = mask[-1, :] = True
         mask[:, 0] = mask[:, -1] = True
     keep = ~mask
-    return float(max(np.max(np.abs(r1.values[keep])), np.max(np.abs(r2.values[keep]))))
+    return float(max(np.max(np.abs(r1[keep])), np.max(np.abs(r2[keep]))))
 
 
 # -- Aggregate report ---------------------------------------------------------------

@@ -20,7 +20,11 @@ mode order of the tridiagonal factor alike.
 Coarse-to-fine solves halve a grid with ``coarsen`` and carry values back
 with ``prolong``: trigonometric interpolation on periodic cells, separable
 cubic (4-point Lagrange) interpolation on Dirichlet squares.  Points off the
-grid are sampled bilinearly (``bilinear_sample``, the one point sampler).
+grid are sampled bilinearly (``bilinear_sample``, the one point sampler),
+a whole stack of fields over the same points in one call.
+
+Every operator here takes the grid and raw arrays; a ``ScalarField`` only
+carries a validated array with its grid between modules.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import scipy.fft
 import scipy.linalg.lapack
 import scipy.sparse
 
-from .errors import GridMismatch, NonPositiveShift, WrongDomainKind
+from .errors import NonPositiveShift, WrongDomainKind
 
 
 class GridKind(enum.Enum):
@@ -168,14 +172,6 @@ class ScalarField:
             raise ValueError("non-finite values in ScalarField")
 
 
-def require_same_grid(*fields: ScalarField) -> Grid2D:
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise GridMismatch("fields live on different grids")
-    return grid
-
-
 # -- Laplacians ---------------------------------------------------------------
 
 def _wavenumbers(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
@@ -199,36 +195,30 @@ def laplacian_values(grid: Grid2D, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_laplacian(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, laplacian_values(f.grid, f.values))
-
-
 # -- Quadrature ---------------------------------------------------------------
 
 def integrate_values(grid: Grid2D, values: np.ndarray) -> float:
+    """Product-rule quadrature; exact trapezoid on both grid kinds."""
     # np.sum is pairwise: fixed reduction order, bit-reproducible
     return float(grid.cell_area * np.sum(values))
-
-
-def integrate(f: ScalarField) -> float:
-    """Product-rule quadrature; exact trapezoid on both grid kinds."""
-    return integrate_values(f.grid, f.values)
 
 
 # -- Sampling and prolongation -------------------------------------------------
 
 def bilinear_sample(grid: Grid2D, values: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of grid values at arbitrary points (x, y)."""
+    """Bilinear interpolation at points (x, y) of one field (ny, nx), or of
+    each field of a stack (..., ny, nx) with the cell indices and weights
+    computed once: shape values.shape[:-2] + x.shape."""
     fx = (np.asarray(x) - grid.x0) / grid.hx
     fy = (np.asarray(y) - grid.y0) / grid.hy
     ix = np.clip(np.floor(fx).astype(int), 0, grid.nx - 2)
     iy = np.clip(np.floor(fy).astype(int), 0, grid.ny - 2)
     tx = fx - ix
     ty = fy - iy
-    v00 = values[iy, ix]
-    v01 = values[iy, ix + 1]
-    v10 = values[iy + 1, ix]
-    v11 = values[iy + 1, ix + 1]
+    v00 = values[..., iy, ix]
+    v01 = values[..., iy, ix + 1]
+    v10 = values[..., iy + 1, ix]
+    v11 = values[..., iy + 1, ix + 1]
     return (1 - ty) * ((1 - tx) * v00 + tx * v01) + ty * ((1 - tx) * v10 + tx * v11)
 
 
@@ -440,12 +430,3 @@ def solve_shifted_poisson(grid: Grid2D, rhs: np.ndarray, shift: float) -> np.nda
     else:
         _dst_unfold(solved, out[1:-1, 1:-1])
     return out
-
-
-def poisson_precondition(r1: ScalarField, r2: ScalarField, shift: float) -> tuple[ScalarField, ScalarField]:
-    """Componentwise (shift*I - Laplacian)^{-1}, used to precondition Newton-CG."""
-    grid = require_same_grid(r1, r2)
-    return (
-        ScalarField(grid, solve_shifted_poisson(grid, r1.values, shift)),
-        ScalarField(grid, solve_shifted_poisson(grid, r2.values, shift)),
-    )

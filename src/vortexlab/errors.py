@@ -17,10 +17,6 @@ class UnphysicalCoupling(VortexLabError):
     """p <= 0 contradicts the positive filling factor pi/p."""
 
 
-class GridMismatch(VortexLabError):
-    """Fields passed to a pointwise operation live on different grids."""
-
-
 class NonPositiveMu(VortexLabError):
     """The background regularization scale mu must be > 0."""
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .discretization import Grid2D, ScalarField, require_same_grid
+from .discretization import Grid2D
 from .errors import DecoupledSystem, NotPositiveDefinite, UnphysicalCoupling
 
 
@@ -220,17 +220,3 @@ def eigen_inverse_values(w1, w2, k: CouplingMatrix):
     a = alpha * w1
     b = beta * w2
     return a + b, a - b
-
-
-def eigen_forward(v1: ScalarField, v2: ScalarField, k: CouplingMatrix) -> tuple[ScalarField, ScalarField]:
-    """eigen_forward_values on fields, pointwise."""
-    grid = require_same_grid(v1, v2)
-    w1, w2 = eigen_forward_values(v1.values, v2.values, k)
-    return ScalarField(grid, w1), ScalarField(grid, w2)
-
-
-def eigen_inverse(w1: ScalarField, w2: ScalarField, k: CouplingMatrix) -> tuple[ScalarField, ScalarField]:
-    """Inverse of eigen_forward."""
-    grid = require_same_grid(w1, w2)
-    v1, v2 = eigen_inverse_values(w1.values, w2.values, k)
-    return ScalarField(grid, v1), ScalarField(grid, v2)

@@ -124,7 +124,10 @@ def read_fld(path: Path, kind: GridKind | None = None) -> ScalarField:
     lines = data.split(b"\n", 3)
     header = lines[0].decode().split(" ")
     if header[:2] == ["vortexfld", "2"] and len(header) == 3:
-        stored = GridKind(header[2])
+        try:
+            stored = GridKind(header[2])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         if kind not in (None, stored):
             raise ValueError(f"{path} holds a {stored.value} grid, not {kind.value}")
         kind = stored
@@ -139,9 +142,9 @@ def read_fld(path: Path, kind: GridKind | None = None) -> ScalarField:
     try:
         grid = Grid2D(nx, ny, x0, y0, hx, hy, kind)
         values = parse_values(lines[3] if len(lines) == 4 else b"", nx * ny)
+        return ScalarField(grid, values.reshape(grid.shape))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return ScalarField(grid, values.reshape(grid.shape))
 
 
 def write_radial_profile(path: Path, radii, u1_means, u2_means, decay_means) -> None:

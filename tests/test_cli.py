@@ -158,6 +158,17 @@ def test_config_value_error_exit_1(tmp_path, monkeypatch, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_out_naming_a_file_exits_1_with_a_message(tmp_path, capsys):
+    path = write_config(tmp_path, torus_config())
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    for mode in ("check", "solve"):
+        assert cli.main([mode, "--config", str(path), "--out", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write outputs: ") and str(taken) in err
+    assert taken.read_text() == "not a directory"
+
+
 def test_solve_deterministic_and_rerunnable(tmp_path):
     # report.json states the problem only: neither where the outputs go nor
     # which optional ones were written changes its bytes
@@ -518,6 +529,18 @@ def test_fld_reader_refuses_bad_header_or_count(tmp_path, kind, nx, ny, spacing,
     with pytest.raises(ValueError, match=message) as info:
         read_fld(path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "kind, value, message",
+    [("bogus", "0.5", "'bogus' is not a valid GridKind"), ("periodic_cell", "nan", "non-finite")],
+    ids=["unknown_kind", "nan_value"],
+)
+def test_fld_reader_names_the_file(tmp_path, kind, value, message):
+    path = _write_fld_text(tmp_path / "bad.fld", kind, 4, 4, 0.5, ["0.5"] * 15 + [value])
+    with pytest.raises(ValueError, match=message) as info:
+        read_fld(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_fld_reader_refuses_lines_past_the_field(tmp_path):

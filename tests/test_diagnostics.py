@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import vortexlab as vl
-from vortexlab.diagnostics import b12_map, fit_exponential_decay, ring_means
-from vortexlab.discretization import bilinear_sample
+from vortexlab.diagnostics import b12_map, fit_log_slope, ring_means
+from vortexlab.discretization import bilinear_sample, integrate_values
 from vortexlab.errors import InsufficientDecayWindow, WrongDomainKind
 from conftest import small_plane_setup
 
@@ -55,8 +55,8 @@ def test_decay_fitter_self_test():
     # fitter recovers the rate of a synthetic exp(-3r) field to 1e-3
     grid = vl.Grid2D.dirichlet(9.0, 256, 256)
     xs, ys = grid.meshgrid()
-    field = vl.ScalarField(grid, np.exp(-3.0 * np.hypot(xs, ys)))
-    rate, r2 = fit_exponential_decay(field, 2.0, 7.0)
+    radii = np.linspace(2.0, 7.0, 32)
+    rate, r2 = fit_log_slope(radii, ring_means(grid, np.exp(-3.0 * np.hypot(xs, ys)), radii))
     assert abs(rate - 3.0) < 1e-3
     assert r2 > 0.999999
 
@@ -81,6 +81,22 @@ def test_bilinear_sample_exact_on_bilinear_function():
     assert out == pytest.approx(2.0 + 3.0 * x - 1.5 * y + 0.25 * x * y, rel=1e-13)
 
 
+def test_stacked_sampling_is_each_field_alone_bit_for_bit(rng):
+    # a stack is sampled with one index and weight computation; each field's
+    # samples and ring means are those of the field sampled by itself
+    grid = vl.Grid2D.dirichlet(5.0, 33, 40)
+    stack = rng.normal(size=(2, 3, *grid.shape))
+    radii = np.linspace(0.5, 4.5, 7)
+    x, y = rng.uniform(-6.0, 6.0, size=(2, 5, 4))
+    samples = bilinear_sample(grid, stack, x, y)
+    means = ring_means(grid, stack, radii)
+    assert samples.shape == (2, 3, 5, 4) and means.shape == (2, 3, 7)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(samples[i, j], bilinear_sample(grid, stack[i, j], x, y))
+            assert np.array_equal(means[i, j], ring_means(grid, stack[i, j], radii))
+
+
 def test_field_maps_vacuum_identities():
     cfg, bg = small_plane_setup(n=32, with_vortex=False)
     sol = vl.newton_solve(cfg, bg)
@@ -100,7 +116,7 @@ def test_field_maps_flux_consistency(torus_case):
     params = vl.PhysicalParams(1.0, 2.0)
     maps = vl.field_maps(sol, params)
     f1, _ = vl.flux_report(sol)
-    b12_integral = vl.integrate(maps["B12"])
+    b12_integral = integrate_values(maps["B12"].grid, maps["B12"].values)
     assert b12_integral == pytest.approx(2.0 * params.p * f1, rel=1e-12)
     assert b12_integral == pytest.approx(-2 * math.pi * params.p * 1, rel=5e-3)
 

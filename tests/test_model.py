@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 import vortexlab as vl
-from vortexlab.errors import (
-    DecoupledSystem,
-    GridMismatch,
-    NotPositiveDefinite,
-    UnphysicalCoupling,
-)
+from vortexlab.errors import DecoupledSystem, NotPositiveDefinite, UnphysicalCoupling
+from vortexlab.model import eigen_forward_values, eigen_inverse_values
 
 
 def test_coupling_p1_q2():
@@ -116,68 +112,46 @@ def test_admissibility_exchange_symmetry(rng):
         assert a.threshold == pytest.approx(b.threshold, abs=1e-14)
 
 
-def _fields(grid, *arrays):
-    return tuple(vl.ScalarField(grid, a) for a in arrays)
-
-
 def test_eigen_zero_fields():
-    grid = vl.Grid2D.periodic(1.0, 1.0, 8, 8)
     k = vl.coupling_from_pq(1.0, 2.0)
-    z1, z2 = _fields(grid, np.zeros(grid.shape), np.zeros(grid.shape))
-    w1, w2 = vl.eigen_forward(z1, z2, k)
-    assert not w1.values.any() and not w2.values.any()
-    v1, v2 = vl.eigen_inverse(w1, w2, k)
-    assert not v1.values.any() and not v2.values.any()
+    z = np.zeros((8, 8))
+    w1, w2 = eigen_forward_values(z, z, k)
+    assert not w1.any() and not w2.any()
+    v1, v2 = eigen_inverse_values(w1, w2, k)
+    assert not v1.any() and not v2.any()
 
 
 def test_eigen_constant_example():
     # K's eigenvectors map onto the axes: (c, c) -> (c/alpha, 0), (c, -c) -> (0, c/beta)
-    grid = vl.Grid2D.periodic(1.0, 1.0, 4, 4)
     k = vl.coupling_from_pq(1.0, 2.0)
     alpha, beta = k.eigen_scales
     c = 1.7
-    full = np.full(grid.shape, c)
-    w1, w2 = vl.eigen_forward(*_fields(grid, full, full), k)
-    assert np.all(w1.values == c / alpha) and np.all(w2.values == 0.0)
-    w1, w2 = vl.eigen_forward(*_fields(grid, full, -full), k)
-    assert np.all(w1.values == 0.0) and np.all(w2.values == c / beta)
+    full = np.full((4, 4), c)
+    w1, w2 = eigen_forward_values(full, full, k)
+    assert np.all(w1 == c / alpha) and np.all(w2 == 0.0)
+    w1, w2 = eigen_forward_values(full, -full, k)
+    assert np.all(w1 == 0.0) and np.all(w2 == c / beta)
 
 
 def test_eigen_round_trip(rng):
-    grid = vl.Grid2D.periodic(2.0, 3.0, 16, 8)
     k = vl.coupling_from_pq(1.5, 0.7)
-    v1, v2 = _fields(grid, rng.normal(size=grid.shape), rng.normal(size=grid.shape))
-    w1, w2 = vl.eigen_forward(v1, v2, k)
-    r1, r2 = vl.eigen_inverse(w1, w2, k)
-    assert np.max(np.abs(r1.values - v1.values)) < 1e-13
-    assert np.max(np.abs(r2.values - v2.values)) < 1e-13
+    v1, v2 = rng.normal(size=(8, 16)), rng.normal(size=(8, 16))
+    r1, r2 = eigen_inverse_values(*eigen_forward_values(v1, v2, k), k)
+    assert np.max(np.abs(r1 - v1)) < 1e-13
+    assert np.max(np.abs(r2 - v2)) < 1e-13
 
 
 def test_eigen_implied_factor():
     # the inverse transform is a matrix M with M M^T = (det/k11) K, the Gram
     # matrix of the functional, and M^T M = (det/k11) diag(lambda1, lambda2)
-    grid = vl.Grid2D.periodic(1.0, 1.0, 4, 4)
-    ones = np.ones(grid.shape)
-    zeros = np.zeros(grid.shape)
     for p, q in ((1.0, 2.0), (2.0, 1.0), (1.5, 0.7)):
         k = vl.coupling_from_pq(p, q)
-        e1 = vl.eigen_inverse(*_fields(grid, ones, zeros), k)
-        e2 = vl.eigen_inverse(*_fields(grid, zeros, ones), k)
-        m = np.array(
-            [[e1[0].values[0, 0], e2[0].values[0, 0]], [e1[1].values[0, 0], e2[1].values[0, 0]]]
-        )
+        # the columns of M are the images of the unit vectors
+        m = np.column_stack([eigen_inverse_values(1.0, 0.0, k), eigen_inverse_values(0.0, 1.0, k)])
         scale = k.det / k.k11
         kk = np.array([[k.k11, k.k12], [k.k21, k.k22]])
         assert np.max(np.abs(m @ m.T - scale * kk)) < 1e-13
         assert np.max(np.abs(m.T @ m - scale * np.diag([k.lambda1, k.lambda2]))) < 1e-13
-
-
-def test_eigen_grid_mismatch():
-    k = vl.coupling_from_pq(1.0, 2.0)
-    a = vl.ScalarField(vl.Grid2D.periodic(1.0, 1.0, 8, 8), np.zeros((8, 8)))
-    b = vl.ScalarField(vl.Grid2D.periodic(2.0, 1.0, 8, 8), np.zeros((8, 8)))
-    with pytest.raises(GridMismatch):
-        vl.eigen_forward(a, b, k)
 
 
 def test_merge_coincident():
