@@ -1,8 +1,9 @@
 """Batch front-end: feasibility checks, solves, and 1D-oracle comparisons.
 
 Usage:
-    vortexlab check|solve|oracle-compare --config run.json [--out DIR]
-                                         [--emit-fields] [--emit-profiles]
+    vortexlab check          --config run.json [--out DIR]
+    vortexlab solve          --config run.json [--out DIR] [--emit-fields] [--emit-profiles]
+    vortexlab oracle-compare --config run.json [--out DIR]
 
 The config states the problem and is strict JSON (unknown keys rejected);
 the command line states where the outputs go and which optional ones to
@@ -10,8 +11,9 @@ write.  report.json embeds the fully resolved configuration; pointing
 --config at a report reruns it and reproduces the outputs byte for byte,
 into any --out (pass the emit flags again to re-emit fields or profiles).
 
-Exit codes: 0 success, 1 invalid config or unwritable outputs, 2 infeasible
-domain, 3 solver failure (non-convergence, or an error raised inside the solver).
+Exit codes: 0 success or --help, 1 a usage error, an invalid config or
+unwritable outputs, 2 infeasible domain, 3 solver failure (non-convergence,
+or an error raised inside the solver).
 """
 
 from __future__ import annotations
@@ -342,9 +344,13 @@ def main(argv=None) -> int:
         sp = sub.add_parser(mode)
         sp.add_argument("--config", required=True, type=Path)
         sp.add_argument("--out", type=Path, default=Path("."))
-        sp.add_argument("--emit-fields", action="store_true")
-        sp.add_argument("--emit-profiles", action="store_true")
-    args = parser.parse_args(argv)
+        if mode == "solve":
+            sp.add_argument("--emit-fields", action="store_true")
+            sp.add_argument("--emit-profiles", action="store_true")
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error; 2 means infeasible here
+        return 1 if exc.code else 0
 
     try:
         raw = json.loads(Path(args.config).read_text())

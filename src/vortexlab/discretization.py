@@ -409,7 +409,7 @@ def solve_shifted_poisson(grid: Grid2D, rhs: np.ndarray, shift: float) -> np.nda
     matrix product otherwise (module docstring); the factor's mode order
     follows the same choice.
     """
-    if shift <= 0:
+    if not shift > 0:  # written so that NaN fails
         raise NonPositiveShift(f"shift must be positive, got {shift}")
     if grid.kind is GridKind.PERIODIC_CELL:
         kx, ky = _wavenumbers(grid)

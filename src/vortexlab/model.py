@@ -32,7 +32,7 @@ class PhysicalParams:
 
     def __post_init__(self):
         _validate_pq(self.p, self.q)
-        if self.average_density <= 0:
+        if not self.average_density > 0:  # written so that NaN fails
             raise ValueError("average_density must be positive")
 
     @property
@@ -188,7 +188,7 @@ def check_admissibility(k: CouplingMatrix, n1: int, n2: int, area: float) -> Adm
 
     are positive, i.e. iff the area exceeds the reported threshold.
     """
-    if area <= 0:
+    if not area > 0:  # written so that NaN fails
         raise ValueError("area must be positive")
     if n1 < 0 or n2 < 0:
         raise ValueError("vortex numbers must be nonnegative")

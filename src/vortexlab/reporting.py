@@ -1,8 +1,9 @@
 """Loss-free, byte-reproducible output formats.
 
-report.json: canonical JSON with keys sorted alphabetically and every float
-printed with 17 significant digits (round-trips exactly).  Field dumps use the
-ASCII ``.fld`` layout:
+JSON outputs: sorted keys, no spaces, ASCII only, a final newline, and each
+float as its shortest round-trip ``repr`` (``0.1``, ``16.0``, ``-0.0``), which
+reads back bit for bit; NaN and infinities raise ``ValueError``.  Field dumps
+and radial_profile.csv keep ``%.17g``.  A dump uses the ASCII ``.fld`` layout:
 
     vortexfld 2 <grid kind: periodic_cell | dirichlet_square>
     nx ny
@@ -38,44 +39,8 @@ def format_float(x: float) -> str:
     return _FLOAT_FORMAT % x
 
 
-def _serialize(obj, parts: list[str]) -> None:
-    if obj is None:
-        parts.append("null")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        parts.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(format_float(obj))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise TypeError("JSON object keys must be strings")
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(key))
-            parts.append(":")
-            _serialize(obj[key], parts)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        parts.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                parts.append(",")
-            _serialize(item, parts)
-        parts.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
 def dumps_canonical(obj) -> str:
-    parts: list[str] = []
-    _serialize(obj, parts)
-    parts.append("\n")
-    return "".join(parts)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def write_json(path: Path, obj) -> None:

@@ -619,7 +619,7 @@ def radial_oracle(k: CouplingMatrix, n1: int, n2: int, rmax: float,
     if n1 < 0 or n2 < 0:
         raise ValueError("vortex numbers must be nonnegative")
     rate = k.decay_rate
-    if rmax < 20.0 / rate:
+    if not rmax >= 20.0 / rate:  # written so that NaN fails
         raise ValueError(f"rmax must be at least {20.0 / rate:.3g} for this coupling")
     if mesh < 64:
         raise ValueError(f"mesh {mesh} too coarse: the radial oracle needs at least 64 nodes")

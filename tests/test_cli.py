@@ -369,9 +369,62 @@ def test_shipped_torus_example_config(tmp_path):
 
 
 def test_canonical_json_float_formatting():
-    text = dumps_canonical({"a": 0.1, "b": [1, True, None], "c": "x"})
-    assert text == '{"a":0.10000000000000001,"b":[1,true,null],"c":"x"}\n'
-    assert json.loads(text)["a"] == 0.1
+    # every float reads back bit for bit and as a float, -0.0 and 16.0 included
+    xs = [-0.0, 5e-324, 0.1, 1e-10, 16.0, 1.7976931348623157e308]
+    obj = {"z": [*xs, 1, True, None], "a": {"y": [-x for x in xs], "b": "\u03b7"}}
+    text = dumps_canonical(obj)
+    back = json.loads(text)
+    assert back == obj
+    for got, want in zip(back["z"][:6] + back["a"]["y"], xs + [-x for x in xs]):
+        assert type(got) is float and got.hex() == want.hex()
+    assert back["z"][6:] == [1, True, None] and type(back["z"][6]) is int
+    # sorted keys, no spaces, ASCII only, one final newline
+    assert text.isascii() and " " not in text and text.endswith("}\n") and text.count("\n") == 1
+    assert text.index('"a"') < text.index('"z"') and text.index('"b"') < text.index('"y"')
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            dumps_canonical({"x": [bad]})
+
+
+def test_negative_zero_vortex_reruns_byte_for_byte(tmp_path):
+    cfg = {
+        "p": 1.0,
+        "q": 2.0,
+        "domain": {"kind": "plane"},
+        "grid": {"nx": 64, "ny": 64},
+        "vortices": {"up": [[-0.0, 0.5, 1]]},
+    }
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
+    first = (tmp_path / "a" / "report.json").read_bytes()
+    assert b'"up":[[-0.0,0.5,1]]' in first
+    assert cli.main(["solve", "--config", str(tmp_path / "a" / "report.json"), "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "b" / "report.json").read_bytes() == first
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve"], ["solve", "--config"], ["solve", "--config", "run.json", "--bogus"], ["bogus"], []],
+    ids=["no_config", "config_without_value", "unknown_flag", "unknown_command", "no_command"],
+)
+def test_usage_error_exits_1(argv, capsys):
+    assert cli.main(argv) == 1
+    assert "usage: vortexlab" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]], ids=["top", "solve"])
+def test_help_exits_0(argv, capsys):
+    assert cli.main(argv) == 0
+    assert "usage: vortexlab" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["check", "oracle-compare"])
+@pytest.mark.parametrize("flag", ["--emit-fields", "--emit-profiles"])
+def test_emit_flags_belong_to_solve_only(tmp_path, capsys, mode, flag):
+    path = write_config(tmp_path, torus_config())
+    assert cli.main([mode, "--config", str(path), "--out", str(tmp_path), flag]) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import vortexlab as vl
-from vortexlab.errors import DecoupledSystem, NotPositiveDefinite, UnphysicalCoupling
+from vortexlab.discretization import solve_shifted_poisson
+from vortexlab.errors import DecoupledSystem, NonPositiveShift, NotPositiveDefinite, UnphysicalCoupling
 from vortexlab.model import eigen_forward_values, eigen_inverse_values
 
 
@@ -55,6 +56,22 @@ def test_physical_params_derived():
     params = vl.PhysicalParams(p=2.0, q=1.0, average_density=3.0)
     assert params.eb == 12.0  # 2 p rho
     assert params.filling_factor == pytest.approx(math.pi / 2.0)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda k: solve_shifted_poisson(vl.Grid2D.periodic(1.0, 1.0, 8, 8), np.ones((8, 8)), math.nan),
+         NonPositiveShift),
+        (lambda k: vl.PhysicalParams(1.0, 2.0, math.nan), ValueError),
+        (lambda k: vl.check_admissibility(k, 1, 0, math.nan), ValueError),
+        (lambda k: vl.radial_oracle(k, 1, 0, math.nan), ValueError),
+    ],
+    ids=["poisson_shift", "average_density", "admissibility_area", "oracle_rmax"],
+)
+def test_nan_fails_the_guard(call, error):
+    with pytest.raises(error):
+        call(vl.coupling_from_pq(1.0, 2.0))
 
 
 def test_admissibility_worked_example():
