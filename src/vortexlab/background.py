@@ -90,8 +90,8 @@ def _plane_species(vortices, mu, xg, yg):
 
 def plane_background(vortices: VortexSet, mu: float, grid: Grid2D) -> BackgroundData:
     """Explicit mu-regularized background sampled on a truncation-square grid."""
-    if not mu > 0:  # written so that NaN fails
-        raise NonPositiveMu(f"mu must be positive, got {mu}")
+    if not 0 < mu < math.inf:  # written so that NaN fails
+        raise NonPositiveMu(f"mu must be positive and finite, got {mu}")
     xg, yg = grid.meshgrid()
     return BackgroundData(
         exp_u0_up=ScalarField(grid, _plane_species(vortices.up, mu, xg, yg)),

@@ -288,19 +288,18 @@ def run_solve(resolved: dict, out_dir: Path, emit_fields: bool, emit_profiles: b
 
 
 def run_oracle_compare(resolved: dict, out_dir: Path) -> int:
-    params, cfg = _build_problem(resolved)
+    _, cfg = _build_problem(resolved)
     cfg.grid.require_plane()
     for x, y, _ in cfg.vortices.up + cfg.vortices.down:
         if math.hypot(x, y) > 1e-9:
             raise NotRadiallyReducible(
                 f"vortex at ({x}, {y}) is off the origin; no radial reduction"
             )
-    n1, n2 = cfg.vortices.n1, cfg.vortices.n2
     k = cfg.coupling
     r_half = cfg.grid.half_width
     rmax = max(r_half, 20.0 / k.decay_rate)
     # the oracle needs no 2D solution: a bad oracle mesh fails before the solve
-    r_oracle, u1_oracle, u2_oracle = radial_oracle(k, n1, n2, rmax, mesh=resolved["oracle_mesh"])
+    r_oracle, *u_oracle = radial_oracle(k, cfg.vortices.n1, cfg.vortices.n2, rmax, mesh=resolved["oracle_mesh"])
     sol = _solve(cfg)
 
     grid = cfg.grid
@@ -312,27 +311,19 @@ def run_oracle_compare(resolved: dict, out_dir: Path) -> int:
     # sample u through the analytic background plus the interpolated smooth
     # correction; interpolating u directly would lose accuracy at the core
     v = np.stack(eigen_inverse_values(sol.state.w1.values, sol.state.w2.values, k))
-    v1_rings, v2_rings = bilinear_sample(grid, v, x, y)
-    u1_rings = (plane_log_u0(cfg.vortices.up, mu, x, y) + v1_rings - LOG2).mean(axis=1)
-    u2_rings = (plane_log_u0(cfg.vortices.down, mu, x, y) + v2_rings - LOG2).mean(axis=1)
-    u1_ref = np.interp(radii, r_oracle, u1_oracle)
-    u2_ref = np.interp(radii, r_oracle, u2_oracle)
-
-    d1 = np.abs(u1_rings - u1_ref)
-    d2 = np.abs(u2_rings - u2_ref)
-    comparison = {
-        "config": resolved,
-        "window": [float(r_lo), float(r_hi)],
-        "radii": [float(r) for r in radii],
-        "u1_rings_2d": [float(v) for v in u1_rings],
-        "u1_rings_1d": [float(v) for v in u1_ref],
-        "u2_rings_2d": [float(v) for v in u2_rings],
-        "u2_rings_1d": [float(v) for v in u2_ref],
-        "u1_max_abs_diff": float(np.max(d1)),
-        "u1_mean_abs_diff": float(np.mean(d1)),
-        "u2_max_abs_diff": float(np.max(d2)),
-        "u2_mean_abs_diff": float(np.mean(d2)),
-    }
+    v_rings = bilinear_sample(grid, v, x, y)
+    comparison = {"config": resolved, "window": [float(r_lo), float(r_hi)], "radii": radii.tolist()}
+    species = zip((cfg.vortices.up, cfg.vortices.down), v_rings, u_oracle)
+    for i, (vortices, v_ring, u_1d) in enumerate(species, start=1):
+        u_rings = (plane_log_u0(vortices, mu, x, y) + v_ring - LOG2).mean(axis=1)
+        u_ref = np.interp(radii, r_oracle, u_1d)
+        d = np.abs(u_rings - u_ref)
+        comparison |= {
+            f"u{i}_rings_2d": u_rings.tolist(),
+            f"u{i}_rings_1d": u_ref.tolist(),
+            f"u{i}_max_abs_diff": float(np.max(d)),
+            f"u{i}_mean_abs_diff": float(np.mean(d)),
+        }
     write_json(out_dir / "oracle_compare.json", comparison)
     return 0
 

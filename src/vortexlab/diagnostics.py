@@ -211,6 +211,12 @@ def residual_norm(sol: Solution) -> float:
         mask[0, :] = mask[-1, :] = True
         mask[:, 0] = mask[:, -1] = True
     keep = ~mask
+    if not keep.any():
+        raise ValueError(
+            f"every node of the {cfg.grid.nx}x{cfg.grid.ny} grid lies in a vortex cell"
+            f"{'' if cfg.grid.is_torus else ' or on the boundary ring'}, so no node is left"
+            " for the residual; refine the grid"
+        )
     return float(max(np.max(np.abs(r1[keep])), np.max(np.abs(r2[keep]))))
 
 

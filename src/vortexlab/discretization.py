@@ -409,8 +409,8 @@ def solve_shifted_poisson(grid: Grid2D, rhs: np.ndarray, shift: float) -> np.nda
     matrix product otherwise (module docstring); the factor's mode order
     follows the same choice.
     """
-    if not shift > 0:  # written so that NaN fails
-        raise NonPositiveShift(f"shift must be positive, got {shift}")
+    if not 0 < shift < math.inf:  # written so that NaN fails
+        raise NonPositiveShift(f"shift must be positive and finite, got {shift}")
     if grid.kind is GridKind.PERIODIC_CELL:
         kx, ky = _wavenumbers(grid)
         spec = np.fft.rfft2(rhs)

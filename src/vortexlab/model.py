@@ -32,8 +32,8 @@ class PhysicalParams:
 
     def __post_init__(self):
         _validate_pq(self.p, self.q)
-        if not self.average_density > 0:  # written so that NaN fails
-            raise ValueError("average_density must be positive")
+        if not 0 < self.average_density < math.inf:  # written so that NaN fails
+            raise ValueError("average_density must be positive and finite")
 
     @property
     def eb(self) -> float:
@@ -90,6 +90,8 @@ def coupling_from_pq(p: float, q: float) -> CouplingMatrix:
     k11 = (p + q) / p
     k12 = (p - q) / p
     det = k11 * k11 - k12 * k12  # = 4q/p
+    if not all(math.isfinite(x) for x in (k11, k12, det)):  # NaN or inf p, q, or an overflow
+        raise ValueError(f"p={p}, q={q} give a coupling matrix K that is not finite")
     return CouplingMatrix(
         k11=k11,
         k12=k12,
@@ -188,8 +190,8 @@ def check_admissibility(k: CouplingMatrix, n1: int, n2: int, area: float) -> Adm
 
     are positive, i.e. iff the area exceeds the reported threshold.
     """
-    if not area > 0:  # written so that NaN fails
-        raise ValueError("area must be positive")
+    if not 0 < area < math.inf:  # written so that NaN fails
+        raise ValueError("area must be positive and finite")
     if n1 < 0 or n2 < 0:
         raise ValueError("vortex numbers must be nonnegative")
     t1 = (2.0 * math.pi / k.det) * (k.k22 * n1 - k.k12 * n2)

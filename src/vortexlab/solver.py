@@ -132,9 +132,8 @@ class SolveConfig:
     max_newton: int = 50
 
     def __post_init__(self):
-        # written so that NaN fails
-        if not self.tol_residual > 0:
-            raise ValueError("tol_residual must be positive")
+        if not 0 < self.tol_residual < math.inf:  # written so that NaN fails
+            raise ValueError("tol_residual must be positive and finite")
         if isinstance(self.max_newton, bool) or not isinstance(self.max_newton, numbers.Integral):
             raise ValueError(f"max_newton must be an integer, got {self.max_newton!r}")
         if self.max_newton < 1:
@@ -614,108 +613,80 @@ def radial_oracle(k: CouplingMatrix, n1: int, n2: int, rmax: float,
 
     Uses the substitution u_i = 2 n_i ln r + t_i and a damped Newton iteration
     on the 1D finite-difference system with a direct sparse solve; entirely
-    independent of the 2D minimization path.
+    independent of the 2D minimization path.  Both species are carried as one
+    (2, mesh) array t.
     """
     if n1 < 0 or n2 < 0:
         raise ValueError("vortex numbers must be nonnegative")
     rate = k.decay_rate
-    if not rmax >= 20.0 / rate:  # written so that NaN fails
-        raise ValueError(f"rmax must be at least {20.0 / rate:.3g} for this coupling")
+    if not 20.0 / rate <= rmax < math.inf:  # written so that NaN fails
+        raise ValueError(f"rmax must be finite and at least {20.0 / rate:.3g} for this coupling")
     if mesh < 64:
         raise ValueError(f"mesh {mesh} too coarse: the radial oracle needs at least 64 nodes")
 
     m = mesh
     h = rmax / (m - 1)
     r = h * np.arange(m)
-    ns = (n1, n2)
-
-    def rho(t, i):
-        # e^{u_i} = r^{2 n_i} e^{t_i}; exact zero at r = 0 when n_i >= 1
-        if ns[i] == 0:
-            return np.exp(t)
-        out = np.zeros_like(t)
-        out[1:] = r[1:] ** (2 * ns[i]) * np.exp(t[1:])
-        return out
-
+    ns = np.array([[n1], [n2]])
+    # e^{u_i} = r^{2 n_i} e^{t_i}; the weight keeps the exact zero at r = 0 when n_i >= 1
+    weights = np.array([r ** (2 * n1), r ** (2 * n2)])
     lap = _radial_laplacian(m, h, r)
     kk = np.array([[k.k11, k.k12], [k.k21, k.k22]])
-    bc = np.array([-LOG2 - 2.0 * n * math.log(rmax) for n in ns])
+    bc = -LOG2 - 2.0 * ns[:, 0] * math.log(rmax)
 
     # start from the mu-regularized ansatz u = n ln(r^2/(1+r^2)) - ln 2
-    t1 = -LOG2 - ns[0] * np.log1p(r**2)
-    t2 = -LOG2 - ns[1] * np.log1p(r**2)
-    t1[-1], t2[-1] = bc
+    t = -LOG2 - ns * np.log1p(r**2)
+    t[:, -1] = bc
 
-    def residual(t1, t2):
-        rho1, rho2 = rho(t1, 0), rho(t2, 1)
-        f1 = lap @ t1 - 4.0 * (kk[0, 0] * rho1 + kk[0, 1] * rho2 - 1.0)
-        f2 = lap @ t2 - 4.0 * (kk[1, 0] * rho1 + kk[1, 1] * rho2 - 1.0)
-        f1[-1] = t1[-1] - bc[0]
-        f2[-1] = t2[-1] - bc[1]
-        return f1, f2, rho1, rho2
+    def residual(t):
+        rho = weights * np.exp(t)
+        f = (lap @ t.T).T - 4.0 * (kk[:, :1] * rho[0] + kk[:, 1:] * rho[1] - 1.0)
+        f[:, -1] = t[:, -1] - bc
+        return f, rho
+
+    def norm(f):
+        return math.sqrt(float(np.dot(f[0], f[0]) + np.dot(f[1], f[1])))
 
     # the discrete residual cannot drop below the rounding floor of the
     # second differences, ~eps*|t|/h^2
-    scale = max(1.0, float(np.max(np.abs(t1))), float(np.max(np.abs(t2))))
+    scale = max(1.0, float(np.max(np.abs(t))))
     tol = max(1e-8, 64.0 * np.finfo(float).eps * scale / h**2)
 
-    identity_last = scipy.sparse.csr_matrix(([1.0], ([m - 1], [m - 1])), shape=(m, m))
-    lap_interior = lap.tolil()
-    lap_interior[m - 1, :] = 0.0
-    lap_interior = lap_interior.tocsr()
-
     for _ in range(60):
-        f1, f2, rho1, rho2 = residual(t1, t2)
-        fnorm = math.sqrt(float(np.dot(f1, f1) + np.dot(f2, f2)))
-        if max(np.max(np.abs(f1)), np.max(np.abs(f2))) <= tol:
-            u1 = np.where(r > 0, 2.0 * ns[0] * np.log(np.maximum(r, 1e-300)) + t1, t1)
-            u2 = np.where(r > 0, 2.0 * ns[1] * np.log(np.maximum(r, 1e-300)) + t2, t2)
-            if ns[0] > 0:
-                u1[0] = LOG_ZERO
-            if ns[1] > 0:
-                u2[0] = LOG_ZERO
-            return r, u1, u2
-        d11 = rho1.copy()
-        d22 = rho2.copy()
-        d11[-1] = d22[-1] = 0.0
+        f, rho = residual(t)
+        if np.max(np.abs(f)) <= tol:
+            u = np.where(r > 0, 2.0 * ns * np.log(np.maximum(r, 1e-300)) + t, t)
+            u[ns[:, 0] > 0, 0] = LOG_ZERO
+            return r, u[0], u[1]
+        rho[:, -1] = 0.0  # the Dirichlet row of the Jacobian is the identity alone
         jac = scipy.sparse.bmat(
-            [
-                [lap_interior - 4.0 * kk[0, 0] * scipy.sparse.diags(d11) + identity_last,
-                 -4.0 * kk[0, 1] * scipy.sparse.diags(d22)],
-                [-4.0 * kk[1, 0] * scipy.sparse.diags(d11),
-                 lap_interior - 4.0 * kk[1, 1] * scipy.sparse.diags(d22) + identity_last],
-            ],
+            [[-4.0 * kk[i, j] * scipy.sparse.diags(rho[j]) + (lap if i == j else 0) for j in (0, 1)]
+             for i in (0, 1)],
             format="csc",
         )
-        delta = scipy.sparse.linalg.spsolve(jac, -np.concatenate([f1, f2]))
-        d1, d2 = delta[:m], delta[m:]
+        delta = scipy.sparse.linalg.spsolve(jac, -f.ravel()).reshape(2, m)
+        fnorm = norm(f)
         eta = 1.0
         while eta > 1e-12:
-            g1, g2, _, _ = residual(t1 + eta * d1, t2 + eta * d2)
-            gnorm = math.sqrt(float(np.dot(g1, g1) + np.dot(g2, g2)))
-            if gnorm <= (1.0 - 1e-4 * eta) * fnorm:
+            if norm(residual(t + eta * delta)[0]) <= (1.0 - 1e-4 * eta) * fnorm:
                 break
             eta *= 0.5
         else:
             raise ConvergenceFailure("radial Newton line search stalled")
-        t1 = t1 + eta * d1
-        t2 = t2 + eta * d2
+        t = t + eta * delta
     raise ConvergenceFailure("radial Newton did not reach tolerance in 60 iterations")
 
 
 def _radial_laplacian(m: int, h: float, r: np.ndarray) -> scipy.sparse.csr_matrix:
-    """Conservative stencil for u'' + u'/r with a regularity row at r = 0."""
-    rows, cols, vals = [], [], []
+    """Conservative stencil for u'' + u'/r with a regularity row at r = 0.
+
+    The last row is the identity: the Dirichlet row t[m - 1] = data.
+    """
+    rj = r[1:-1]
+    sub = (rj - 0.5 * h) / (rj * h**2)
+    sup = (rj + 0.5 * h) / (rj * h**2)
     # r = 0: 2D Laplacian of a radial function with u'(0) = 0
-    rows += [0, 0]
-    cols += [0, 1]
-    vals += [-4.0 / h**2, 4.0 / h**2]
-    for j in range(1, m - 1):
-        r_minus = r[j] - 0.5 * h
-        r_plus = r[j] + 0.5 * h
-        sub = r_minus / (r[j] * h**2)
-        sup = r_plus / (r[j] * h**2)
-        rows += [j, j, j]
-        cols += [j - 1, j, j + 1]
-        vals += [sub, -(sub + sup), sup]
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(m, m))
+    diagonal = np.concatenate([[-4.0 / h**2], -(sub + sup), [1.0]])
+    upper = np.concatenate([[4.0 / h**2], sup])
+    lower = np.append(sub, 0.0)
+    return scipy.sparse.diags([lower, diagonal, upper], [-1, 0, 1], format="csr")

@@ -150,12 +150,28 @@ def test_config_value_error_exit_1(tmp_path, monkeypatch, capsys):
         ({"vortices": {"up": [[float("inf"), 1.9, 1]]}}, "vortices.up"),
         ({"tol_residual": float("nan")}, "tol_residual"),
         ({"tol_residual": 0.0}, "tol_residual must be positive"),
+        ({"p": 1e-300, "q": 2}, "p=1e-300, q=2"),
         ({"domain": {"kind": "torus", "L1": 0.0, "L2": TORUS_L}}, "cell sides must be positive"),
         ({"domain": {"kind": "plane", "R": -1.0}, "vortices": {}}, "half width must be positive"),
     ):
         path = write_config(tmp_path, torus_config(**overrides))
         assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 1
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "domain, side, vortex",
+    [({"kind": "plane", "R": 9.0}, 4, [0.0, 0.0, 1]), ({"kind": "torus", "L1": 10.0, "L2": 10.0}, 2, [1.0, 1.0, 1])],
+    ids=["plane_4x4", "torus_2x2"],
+)
+def test_grid_with_no_residual_node_exit_1(tmp_path, capsys, domain, side, vortex):
+    # the vortex cell (and the plane's boundary ring) covers every node
+    cfg = torus_config(domain=domain, grid={"nx": side, "ny": side}, vortices={"up": [vortex]})
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{side}x{side} grid" in err and "refine the grid" in err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_out_naming_a_file_exits_1_with_a_message(tmp_path, capsys):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import vortexlab as vl
+from vortexlab.background import plane_background
 from vortexlab.discretization import solve_shifted_poisson
-from vortexlab.errors import DecoupledSystem, NonPositiveShift, NotPositiveDefinite, UnphysicalCoupling
+from vortexlab.errors import DecoupledSystem, NonPositiveMu, NonPositiveShift, NotPositiveDefinite, UnphysicalCoupling
 from vortexlab.model import eigen_forward_values, eigen_inverse_values
 
 
@@ -61,17 +62,24 @@ def test_physical_params_derived():
 @pytest.mark.parametrize(
     "call, error",
     [
-        (lambda k: solve_shifted_poisson(vl.Grid2D.periodic(1.0, 1.0, 8, 8), np.ones((8, 8)), math.nan),
+        (lambda k, x: solve_shifted_poisson(vl.Grid2D.periodic(1.0, 1.0, 8, 8), np.ones((8, 8)), x),
          NonPositiveShift),
-        (lambda k: vl.PhysicalParams(1.0, 2.0, math.nan), ValueError),
-        (lambda k: vl.check_admissibility(k, 1, 0, math.nan), ValueError),
-        (lambda k: vl.radial_oracle(k, 1, 0, math.nan), ValueError),
+        (lambda k, x: vl.PhysicalParams(1.0, 2.0, x), ValueError),
+        (lambda k, x: vl.check_admissibility(k, 1, 0, x), ValueError),
+        (lambda k, x: vl.radial_oracle(k, 1, 0, x), ValueError),
+        (lambda k, x: plane_background(vl.VortexSet(up=((0.0, 0.0, 1),)), x, vl.Grid2D.dirichlet(9.0, 8, 8)),
+         NonPositiveMu),
+        (lambda k, x: vl.coupling_from_pq(x, 2.0), ValueError),
+        (lambda k, x: vl.coupling_from_pq(1.0, x), ValueError),
     ],
-    ids=["poisson_shift", "average_density", "admissibility_area", "oracle_rmax"],
+    ids=["poisson_shift", "average_density", "admissibility_area", "oracle_rmax", "plane_mu", "coupling_p",
+         "coupling_q"],
 )
 def test_nan_fails_the_guard(call, error):
-    with pytest.raises(error):
-        call(vl.coupling_from_pq(1.0, 2.0))
+    # NaN and +inf each fail every guard
+    for x in (math.nan, math.inf):
+        with pytest.raises(error):
+            call(vl.coupling_from_pq(1.0, 2.0), x)
 
 
 def test_admissibility_worked_example():

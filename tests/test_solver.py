@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import vortexlab as vl
 from vortexlab import solver
@@ -426,7 +427,7 @@ def test_iteration_budget_enforced():
 @pytest.mark.parametrize("key", ["tol_residual"])
 def test_solve_config_rejects_nan_tolerance(key):
     cfg, _ = small_torus_setup()
-    for value in (math.nan, 0.0, -1e-10):
+    for value in (math.nan, math.inf, 0.0, -1e-10):
         with pytest.raises(ValueError, match=f"{key} must be positive"):
             replace(cfg, **{key: value})
 
@@ -584,6 +585,29 @@ def test_radial_oracle_single_vortex():
     integrand = (k.k11 * e1 + k.k12 * e2 - 1.0) * r
     flux = 2 * np.pi * float(np.sum((integrand[1:] + integrand[:-1]) / 2 * np.diff(r)))
     assert abs(flux + np.pi) < 1e-3
+
+
+@pytest.mark.parametrize("m, rmax", [(64, 10.0), (1001, 12.5), (8192, 10.0)])
+def test_radial_laplacian_is_exact_on_r_squared_with_a_dirichlet_last_row(m, rmax):
+    # the 2D Laplacian of r^2 is 4, and the conservative stencil is exact on
+    # it: each row misses 4 only by the rounding of its cancelling terms
+    h = rmax / (m - 1)
+    r = h * np.arange(m)
+    lap = solver._radial_laplacian(m, h, r)
+    error = np.abs(lap @ r**2 - 4.0)
+    assert np.all(error[:-1] <= 1e-12 * (abs(lap) @ r**2)[:-1])
+    last = lap[[m - 1]].toarray().ravel()
+    assert np.array_equal(last, np.eye(m)[m - 1])
+    # the same coefficients, bit for bit, as the stencil written node by node
+    rows, cols, vals = [0, 0], [0, 1], [-4.0 / h**2, 4.0 / h**2]
+    for j in range(1, m - 1):
+        sub = (r[j] - 0.5 * h) / (r[j] * h**2)
+        sup = (r[j] + 0.5 * h) / (r[j] * h**2)
+        rows += [j, j, j]
+        cols += [j - 1, j, j + 1]
+        vals += [sub, -(sub + sup), sup]
+    reference = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(m, m))
+    assert (lap[:-1] != reference[:-1]).nnz == 0
 
 
 def test_radial_oracle_rejects_short_domain():
