@@ -192,8 +192,10 @@ def resolve_config(raw: dict, mode: str) -> dict:
             for key, default in _SOLVER_DEFAULTS.items()
         },
     }
+    # checked in every mode, resolved only where it applies
+    oracle_mesh = _as_int(raw.get("oracle_mesh", ORACLE_MESH), "oracle_mesh")
     if mode == "oracle-compare":
-        resolved["oracle_mesh"] = _as_int(raw.get("oracle_mesh", ORACLE_MESH), "oracle_mesh")
+        resolved["oracle_mesh"] = oracle_mesh
     return resolved
 
 
@@ -267,6 +269,7 @@ def _emit_profiles(out_dir: Path, cfg, sol) -> None:
 
 def _solve(cfg: SolveConfig):
     """newton_solve on a validated config: a ValueError from it is the solver's."""
+    diagnostics.residual_nodes(cfg.grid, cfg.vortices)  # a grid with none exits 1 before the solve
     try:
         return newton_solve(cfg)
     except ValueError as exc:

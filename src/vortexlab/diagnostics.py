@@ -178,8 +178,12 @@ def field_maps(sol: Solution, params: PhysicalParams) -> dict[str, ScalarField]:
 
 # -- Residual of the original system ------------------------------------------------
 
-def _vortex_cell_mask(grid: Grid2D, vortices: VortexSet, halo: int = 2) -> np.ndarray:
-    """True on nodes within ``halo`` cells of a vortex (delta sources live there)."""
+def residual_nodes(grid: Grid2D, vortices: VortexSet, halo: int = 2) -> np.ndarray:
+    """True on the nodes where ``residual_norm`` measures: more than ``halo``
+    cells from every vortex (delta sources live there) and, on the plane, off
+    the boundary ring.  It depends only on the grid and the vortices, so a
+    grid that leaves no such node is refused (``ValueError``) before a solve.
+    """
     mask = np.zeros(grid.shape, dtype=bool)
     for x, y, _ in vortices.up + vortices.down:
         ix = int(round((x - grid.x0) / grid.hx))
@@ -191,32 +195,31 @@ def _vortex_cell_mask(grid: Grid2D, vortices: VortexSet, halo: int = 2) -> np.nd
                     mask[jy % grid.ny, jx % grid.nx] = True
                 elif 0 <= jx < grid.nx and 0 <= jy < grid.ny:
                     mask[jy, jx] = True
-    return mask
+    if not grid.is_torus:
+        mask[0, :] = mask[-1, :] = True
+        mask[:, 0] = mask[:, -1] = True
+    if mask.all():
+        raise ValueError(
+            f"every node of the {grid.nx}x{grid.ny} grid lies in a vortex cell"
+            f"{'' if grid.is_torus else ' or on the boundary ring'}, so no node is left"
+            " for the residual; refine the grid"
+        )
+    return ~mask
 
 
 def residual_norm(sol: Solution) -> float:
-    """Inf-norm of the original-variable residual away from vortex cells.
+    """Inf-norm of the original-variable residual on ``residual_nodes``.
 
     The transformed-system gradient g maps back to the u-variable residual
     M g through the inverse eigenbasis transform, whatever basis the solver
-    uses, since M M^T is fixed by K; away from the masked cells the
+    uses, since M M^T is fixed by K; away from the vortex cells the
     background identity holds and the two residuals coincide.  g is
     evaluated at ``sol.state``, so it is always the residual of that state.
     """
     cfg = sol.config
     g1, g2 = functional_gradient(sol.state, cfg, sol.background)
     r1, r2 = eigen_inverse_values(g1.values, g2.values, cfg.coupling)
-    mask = _vortex_cell_mask(cfg.grid, cfg.vortices)
-    if not cfg.grid.is_torus:
-        mask[0, :] = mask[-1, :] = True
-        mask[:, 0] = mask[:, -1] = True
-    keep = ~mask
-    if not keep.any():
-        raise ValueError(
-            f"every node of the {cfg.grid.nx}x{cfg.grid.ny} grid lies in a vortex cell"
-            f"{'' if cfg.grid.is_torus else ' or on the boundary ring'}, so no node is left"
-            " for the residual; refine the grid"
-        )
+    keep = residual_nodes(cfg.grid, cfg.vortices)
     return float(max(np.max(np.abs(r1[keep])), np.max(np.abs(r2[keep]))))
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.fft
@@ -64,56 +64,55 @@ def _check_nodes(kind: GridKind, nx: int, ny: int) -> None:
 class Grid2D:
     """Uniform tensor grid; arrays over it are indexed [iy, ix], row-major.
 
-    The grid is the domain: a periodic grid samples the L1 x L2 torus cell
-    (L1 = hx*nx, L2 = hy*ny, exact since nx and ny are powers of two), a
-    Dirichlet grid the [-R, R]^2 truncation square of the plane (R = -x0).
+    The grid is the domain, stored as its kind, node counts and sides: a
+    periodic grid samples the l1 x l2 torus cell at x_i = i*hx, hx = l1/nx,
+    a Dirichlet grid the [-R, R]^2 truncation square of the plane, whose
+    sides l1 = l2 = 2R carry nx and ny nodes, ring included.  The origin,
+    spacings, R and the area are derived.
     """
 
+    kind: GridKind
     nx: int
     ny: int
-    x0: float
-    y0: float
-    hx: float
-    hy: float
-    kind: GridKind
+    l1: float
+    l2: float
 
     def __post_init__(self):
         # every grid, from the factories below or from a file, is checked here
-        _check_nodes(self.kind, self.nx, self.ny)
-        if not (math.isfinite(self.x0) and math.isfinite(self.y0)
-                and 0 < self.hx < math.inf and 0 < self.hy < math.inf):
-            raise ValueError("a grid needs a finite origin and positive finite spacings, not "
-                             f"x0 y0 hx hy = {self.x0} {self.y0} {self.hx} {self.hy}")
+        _check_nodes(self.kind, self.nx, self.ny)  # before hx and hy divide by them
+        if not (0 < self.hx and 0 < self.hy and self.l1 < math.inf and self.l2 < math.inf
+                and (self.is_torus or self.l1 == self.l2)):  # written so that NaN fails
+            rule = ("cell sides must be positive and finite" if self.is_torus
+                    else "half width must be positive and finite, the square's two sides 2R")
+            raise ValueError(f"{rule}, not {self.l1} x {self.l2}")
 
     @staticmethod
     def periodic(l1: float, l2: float, nx: int, ny: int) -> "Grid2D":
-        if not (l1 > 0 and l2 > 0):
-            raise ValueError("cell sides must be positive")
-        _check_nodes(GridKind.PERIODIC_CELL, nx, ny)  # before dividing by nx, ny
-        return Grid2D(nx, ny, 0.0, 0.0, l1 / nx, l2 / ny, GridKind.PERIODIC_CELL)
+        return Grid2D(GridKind.PERIODIC_CELL, nx, ny, l1, l2)
 
     @staticmethod
     def dirichlet(half_width: float, nx: int, ny: int) -> "Grid2D":
-        if not half_width > 0:
-            raise ValueError("half width must be positive")
-        _check_nodes(GridKind.DIRICHLET_SQUARE, nx, ny)  # before dividing by nx - 1, ny - 1
-        h_x = 2.0 * half_width / (nx - 1)
-        h_y = 2.0 * half_width / (ny - 1)
-        return Grid2D(nx, ny, -half_width, -half_width, h_x, h_y, GridKind.DIRICHLET_SQUARE)
+        return Grid2D(GridKind.DIRICHLET_SQUARE, nx, ny, 2.0 * half_width, 2.0 * half_width)
 
     @property
     def is_torus(self) -> bool:
         return self.kind is GridKind.PERIODIC_CELL
 
     @property
-    def l1(self) -> float:
-        """Cell side in x of a periodic grid."""
-        return self.hx * self.nx
+    def x0(self) -> float:
+        return 0.0 if self.is_torus else -0.5 * self.l1
 
     @property
-    def l2(self) -> float:
-        """Cell side in y of a periodic grid."""
-        return self.hy * self.ny
+    def y0(self) -> float:
+        return self.x0
+
+    @property
+    def hx(self) -> float:
+        return self.l1 / (self.nx if self.is_torus else self.nx - 1)
+
+    @property
+    def hy(self) -> float:
+        return self.l2 / (self.ny if self.is_torus else self.ny - 1)
 
     @property
     def half_width(self) -> float:
@@ -123,9 +122,7 @@ class Grid2D:
     @property
     def area(self) -> float:
         """|Omega|: the cell area on the torus, (2R)^2 on the plane."""
-        if self.is_torus:
-            return self.l1 * self.l2
-        return (2.0 * self.half_width) ** 2
+        return self.l1 * self.l2 if self.is_torus else self.l1**2
 
     def require_torus(self) -> "Grid2D":
         if not self.is_torus:
@@ -227,8 +224,8 @@ def coarsen(grid: Grid2D) -> Grid2D:
     (n + 1)//2 on a Dirichlet square, whose nodes then nest in the fine
     grid's when n is odd."""
     if grid.is_torus:
-        return Grid2D.periodic(grid.l1, grid.l2, grid.nx // 2, grid.ny // 2)
-    return Grid2D.dirichlet(grid.half_width, (grid.nx + 1) // 2, (grid.ny + 1) // 2)
+        return replace(grid, nx=grid.nx // 2, ny=grid.ny // 2)
+    return replace(grid, nx=(grid.nx + 1) // 2, ny=(grid.ny + 1) // 2)
 
 
 def _cubic_weights(n_coarse: int, pos: np.ndarray) -> scipy.sparse.csr_array:

@@ -60,13 +60,33 @@ def _validate_pq(p: float, q: float) -> None:
 
 @dataclass(frozen=True)
 class CouplingMatrix:
-    k11: float
-    k12: float
-    k21: float
-    k22: float
-    det: float
-    lambda1: float
-    lambda2: float
+    p: float
+    q: float
+
+    def __post_init__(self):
+        _validate_pq(self.p, self.q)
+        if not all(math.isfinite(x) for x in (self.k11, self.k12, self.det)):  # NaN or inf p, q, or an overflow
+            raise ValueError(f"p={self.p}, q={self.q} give a coupling matrix K that is not finite")
+
+    @property
+    def k11(self) -> float:
+        return (self.p + self.q) / self.p
+
+    @property
+    def k12(self) -> float:
+        return (self.p - self.q) / self.p
+
+    k21 = k12  # K is symmetric
+    k22 = k11
+    lambda1 = 2.0  # the eigenvalue along (1, 1)
+
+    @property
+    def det(self) -> float:
+        return self.k11 * self.k11 - self.k12 * self.k12  # = 4q/p
+
+    @property
+    def lambda2(self) -> float:  # the eigenvalue along (1, -1)
+        return 2.0 * self.q / self.p
 
     @property
     def eigen_scales(self) -> tuple[float, float]:
@@ -86,21 +106,7 @@ class CouplingMatrix:
 
 def coupling_from_pq(p: float, q: float) -> CouplingMatrix:
     """Build K from the two coupling constants, with spectral data attached."""
-    _validate_pq(p, q)
-    k11 = (p + q) / p
-    k12 = (p - q) / p
-    det = k11 * k11 - k12 * k12  # = 4q/p
-    if not all(math.isfinite(x) for x in (k11, k12, det)):  # NaN or inf p, q, or an overflow
-        raise ValueError(f"p={p}, q={q} give a coupling matrix K that is not finite")
-    return CouplingMatrix(
-        k11=k11,
-        k12=k12,
-        k21=k12,
-        k22=k11,
-        det=det,
-        lambda1=2.0,
-        lambda2=2.0 * q / p,
-    )
+    return CouplingMatrix(p, q)
 
 
 # -- Vortex configurations ----------------------------------------------------

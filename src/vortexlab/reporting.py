@@ -51,14 +51,16 @@ _BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"  # line breaks str.splitlines honours beside
 _TO_NEWLINE = bytes.maketrans(_BREAKS, b"\n" * len(_BREAKS))
 
 
+def _grid_line(grid: Grid2D) -> str:
+    return " ".join(format_float(v) for v in (grid.x0, grid.y0, grid.hx, grid.hy))
+
+
 def write_fld(path: Path, field: ScalarField) -> None:
     grid = field.grid
     if not np.all(np.isfinite(field.values)):
         raise ValueError("refusing to serialize a non-finite number")
     with open(path, "wb") as f:
-        f.write(f"vortexfld 2 {grid.kind.value}\n{grid.nx} {grid.ny}\n"
-                f"{format_float(grid.x0)} {format_float(grid.y0)} "
-                f"{format_float(grid.hx)} {format_float(grid.hy)}\n".encode("ascii"))
+        f.write(f"vortexfld 2 {grid.kind.value}\n{grid.nx} {grid.ny}\n{_grid_line(grid)}\n".encode("ascii"))
         for text in format_values(field.values):
             f.write(text)
 
@@ -77,9 +79,9 @@ def read_fld(path: Path, kind: GridKind | None = None) -> ScalarField:
     """Read a ``.fld`` dump.
 
     A v2 file carries its grid kind; ``kind``, if given, must agree with it.
-    A v1 file does not, so ``kind`` is required there.  The node counts and
-    spacings must suit the grid kind, and the file must hold exactly nx*ny
-    values.
+    A v1 file does not, so ``kind`` is required there.  The grid is built
+    from the kind, node counts and sides, and the grid line must be its own,
+    bit for bit; the file must hold exactly nx*ny values.
     """
     data = Path(path).read_bytes()
     if not data.isascii():
@@ -103,9 +105,14 @@ def read_fld(path: Path, kind: GridKind | None = None) -> ScalarField:
     if len(lines) < 3:
         raise ValueError(f"{path}: the header ends before its grid line")
     nx, ny = _header_numbers(path, lines[1], int, "nx ny")
-    x0, y0, hx, hy = _header_numbers(path, lines[2], float, "x0 y0 hx hy")
+    x0, y0, hx, hy = line = _header_numbers(path, lines[2], float, "x0 y0 hx hy")
     try:
-        grid = Grid2D(nx, ny, x0, y0, hx, hy, kind)
+        # the sides are nx*hx by ny*hy on a periodic cell, 2R = -2*x0 on a Dirichlet square
+        grid = (Grid2D.periodic(hx * nx, hy * ny, nx, ny) if kind is GridKind.PERIODIC_CELL
+                else Grid2D.dirichlet(-x0, nx, ny))
+        if list(map(repr, line)) != list(map(repr, (grid.x0, grid.y0, grid.hx, grid.hy))):
+            raise ValueError(f"grid line {lines[2].decode()!r} is not {_grid_line(grid)!r}, "
+                             f"the line of the {kind.value} grid with these nodes and sides")
         values = parse_values(lines[3] if len(lines) == 4 else b"", nx * ny)
         return ScalarField(grid, values.reshape(grid.shape))
     except ValueError as exc:

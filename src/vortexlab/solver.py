@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse
@@ -165,7 +165,9 @@ class NewtonStep:
 
 @dataclass
 class Solution:
-    """Converged fields and solve metadata.
+    """Converged state and solve metadata; u and e^u = h a exp(M w) (h = 1 on
+    the torus, 1/2 on the plane, a = e^{u0}) are computed from ``state``, so
+    exact zeros of a survive in e^u and ln 0 becomes ``LOG_ZERO`` in u.
 
     ``history`` lists the Newton steps of every level, coarsest first; the
     finest level, the solve's own grid, comes last.  ``final_residual`` and
@@ -175,14 +177,27 @@ class Solution:
     ``newton_iterations`` counts the finest level's steps only.
     """
 
-    u1: ScalarField
-    u2: ScalarField
-    exp_u1: ScalarField  # e^{u1} with exact zeros at on-node vortices
-    exp_u2: ScalarField
     state: State
     history: tuple[NewtonStep, ...]
     config: SolveConfig
     background: BackgroundData
+    u1: ScalarField = field(init=False)
+    u2: ScalarField = field(init=False)
+    exp_u1: ScalarField = field(init=False)  # e^{u1} with exact zeros at on-node vortices
+    exp_u2: ScalarField = field(init=False)
+
+    def __post_init__(self):
+        grid = self.config.grid
+        half, shift = (1.0, 0.0) if grid.is_torus else (0.5, LOG2)
+        a = (self.background.exp_u0_up.values, self.background.exp_u0_down.values)
+        v = eigen_inverse_values(self.state.w1.values, self.state.w2.values, self.config.coupling)
+        # a exp(M w) before u, as the iterate had it: after u, glibc trimmed the heap and
+        # a 512^2 plane solve took ~25k more page faults
+        exps = [ai * np.exp(vi) for ai, vi in zip(a, v)]
+        with np.errstate(divide="ignore"):
+            u = [np.where(ai > 0.0, np.log(ai) + vi - shift, LOG_ZERO) for ai, vi in zip(a, v)]
+        self.u1, self.u2 = (ScalarField(grid, ui) for ui in u)
+        self.exp_u1, self.exp_u2 = (ScalarField(grid, half * ei) for ei in exps)
 
     @property
     def newton_iterations(self) -> int:
@@ -491,7 +506,7 @@ def _newton(problem: _Problem, previous, tol: float, max_newton: int, finest: bo
         # only the iterate's names keep its arrays; the spent direction goes
         # before the next CG allocates
         del t1, t2, t_exps, t_nlap, d1, d2
-    return w1, w2, exps, history
+    return w1, w2, history
 
 
 def _levels(cfg: SolveConfig, bg: BackgroundData) -> list[tuple[Grid2D, BackgroundData]]:
@@ -519,19 +534,6 @@ def _levels(cfg: SolveConfig, bg: BackgroundData) -> list[tuple[Grid2D, Backgrou
     return levels
 
 
-def _recover_fields(problem: _Problem, w1, w2, exps):
-    """Map (w1, w2) back to u-variables; e^u comes from the iterate's
-    exponentials, where exact zeros survive."""
-    v1, v2 = eigen_inverse_values(w1, w2, problem.k)
-    half = 1.0 if problem.torus else 0.5
-    shift = 0.0 if problem.torus else LOG2
-    a1, a2 = problem.a1, problem.a2
-    with np.errstate(divide="ignore"):
-        u1 = np.where(a1 > 0.0, np.log(a1) + v1 - shift, LOG_ZERO)
-        u2 = np.where(a2 > 0.0, np.log(a2) + v2 - shift, LOG_ZERO)
-    return u1, u2, half * exps[0], half * exps[1]
-
-
 def newton_solve(cfg: SolveConfig, bg: BackgroundData | None = None,
                  initial_state: State | None = None) -> Solution:
     """Solve the vortex system by damped Newton, coarse to fine.
@@ -555,23 +557,11 @@ def newton_solve(cfg: SolveConfig, bg: BackgroundData | None = None,
         # popped, so that each coarse background goes with its level
         grid, level_bg = levels.pop(0)
         problem = _Problem(replace(cfg, grid=grid), level_bg)
-        w1, w2, exps, steps = _newton(problem, previous, cfg.tol_residual, cfg.max_newton,
-                                      finest=not levels)
+        w1, w2, steps = _newton(problem, previous, cfg.tol_residual, cfg.max_newton, finest=not levels)
         history.extend(steps)
         previous = grid, w1, w2
-    u1, u2, exp_u1, exp_u2 = _recover_fields(problem, w1, w2, exps)
-
-    grid = cfg.grid
-    return Solution(
-        u1=ScalarField(grid, u1),
-        u2=ScalarField(grid, u2),
-        exp_u1=ScalarField(grid, exp_u1),
-        exp_u2=ScalarField(grid, exp_u2),
-        state=State(ScalarField(grid, w1), ScalarField(grid, w2)),
-        history=tuple(history),
-        config=cfg,
-        background=bg,
-    )
+    state = State(ScalarField(cfg.grid, w1), ScalarField(cfg.grid, w2))
+    return Solution(state=state, history=tuple(history), config=cfg, background=bg)
 
 
 # -- Public functional surface (spec operations) --------------------------------

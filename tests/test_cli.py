@@ -164,14 +164,29 @@ def test_config_value_error_exit_1(tmp_path, monkeypatch, capsys):
     [({"kind": "plane", "R": 9.0}, 4, [0.0, 0.0, 1]), ({"kind": "torus", "L1": 10.0, "L2": 10.0}, 2, [1.0, 1.0, 1])],
     ids=["plane_4x4", "torus_2x2"],
 )
-def test_grid_with_no_residual_node_exit_1(tmp_path, capsys, domain, side, vortex):
-    # the vortex cell (and the plane's boundary ring) covers every node
+def test_grid_with_no_residual_node_exit_1(tmp_path, capsys, monkeypatch, domain, side, vortex):
+    # the vortex cell (and the plane's boundary ring) covers every node; the
+    # grid is refused before any solve
+    def unreachable(cfg):
+        raise AssertionError("the solve must not run on a grid with no residual node")
+
+    monkeypatch.setattr(cli, "newton_solve", unreachable)
     cfg = torus_config(domain=domain, grid={"nx": side, "ny": side}, vortices={"up": [vortex]})
     path = write_config(tmp_path, cfg)
-    assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert f"{side}x{side} grid" in err and "refine the grid" in err
-    assert not (tmp_path / "report.json").exists()
+    modes = ["solve"] if domain["kind"] == "torus" else ["solve", "oracle-compare"]
+    for mode in modes:
+        assert cli.main([mode, "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{side}x{side} grid" in err and "refine the grid" in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("mode", ["check", "solve"])
+def test_oracle_mesh_is_checked_in_every_mode(tmp_path, capsys, mode):
+    path = write_config(tmp_path, torus_config(oracle_mesh="garbage"))
+    assert cli.main([mode, "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert "key 'oracle_mesh' must be an integer" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_out_naming_a_file_exits_1_with_a_message(tmp_path, capsys):
@@ -497,7 +512,7 @@ def test_fld_bytes_match_per_value_formatter(tmp_path):
     lines = [
         "vortexfld 2 dirichlet_square",
         f"{grid.nx} {grid.ny}",
-        " ".join(format_float(v) for v in (grid.x0, grid.y0, grid.hx, grid.hy)),
+        _grid_line(grid),
     ]
     lines.extend(format_float(v) for v in values.ravel(order="C"))
     expected = ("\n".join(lines) + "\n").encode("ascii")
@@ -525,8 +540,12 @@ def _fld_body(path):
     return path.read_bytes().split(b"\n", 3)[3]
 
 
-def _write_fld_text(path, kind, nx, ny, spacing, lines):
-    header = f"vortexfld 2 {kind}\n{nx} {ny}\n0 0 {spacing} {spacing}\n"
+def _grid_line(grid):
+    return " ".join(format_float(v) for v in (grid.x0, grid.y0, grid.hx, grid.hy))
+
+
+def _write_fld_text(path, kind, nx, ny, grid_line, lines):
+    header = f"vortexfld 2 {kind}\n{nx} {ny}\n{grid_line}\n"
     path.write_text(header + "".join(line + "\n" for line in lines))
     return path
 
@@ -553,7 +572,8 @@ def test_fld_reader_matches_float_on_any_line_float_accepts(tmp_path):
               "1000000000000000000", "12345678901234567890", "1.234567890123456789e-01",
               "-0.1234567890123456789"]
     lines += ["0"] * (-len(lines) % 4)
-    path = _write_fld_text(tmp_path / "f.fld", "dirichlet_square", 4, len(lines) // 4, 1.0, lines)
+    grid = vl.Grid2D.dirichlet(1.5, 4, len(lines) // 4)
+    path = _write_fld_text(tmp_path / "f.fld", grid.kind.value, grid.nx, grid.ny, _grid_line(grid), lines)
     back = read_fld(path).values.ravel()
     expected = np.array([float(line) for line in lines])
     assert np.array_equal(back.view(np.uint64), expected.view(np.uint64))
@@ -575,7 +595,8 @@ def test_fld_reader_matches_float_on_random_line_shapes(tmp_path, rng):
         lines.append("-" + text if rng.random() < 0.5 else text)
     lines = [line for line in lines if math.isfinite(float(line))]
     del lines[len(lines) // 4 * 4:]
-    path = _write_fld_text(tmp_path / "f.fld", "dirichlet_square", 4, len(lines) // 4, 1.0, lines)
+    grid = vl.Grid2D.dirichlet(1.5, 4, len(lines) // 4)
+    path = _write_fld_text(tmp_path / "f.fld", grid.kind.value, grid.nx, grid.ny, _grid_line(grid), lines)
     back = read_fld(path).values.ravel()
     expected = np.array([float(line) for line in lines])
     assert np.array_equal(back.view(np.uint64), expected.view(np.uint64))
@@ -588,16 +609,39 @@ def test_fld_reader_matches_float_on_random_line_shapes(tmp_path, rng):
         ("periodic_cell", 0, 0, 0.5, 0, "power-of-two nx and ny, not 0 x 0"),
         ("periodic_cell", 3, 4, 0.5, 12, "power-of-two nx and ny, not 3 x 4"),
         ("dirichlet_square", 3, 4, 0.5, 12, "at least 4 x 4 nodes, not 3 x 4"),
-        ("periodic_cell", 4, 4, 0.0, 16, "positive finite spacings"),
-        ("dirichlet_square", 4, 4, -1.0, 16, "positive finite spacings"),
-        ("dirichlet_square", 4, 4, "nan", 16, "positive finite spacings"),
+        ("periodic_cell", 4, 4, 0.0, 16, "cell sides must be positive and finite, not 0.0 x 0.0"),
+        ("periodic_cell", 4, 4, "nan", 16, "cell sides must be positive and finite, not nan x nan"),
+        # a Dirichlet grid's half width is -x0
+        ("dirichlet_square", 4, 4, -1.0, 16, "half width must be positive and finite"),
     ],
 )
 def test_fld_reader_refuses_bad_header_or_count(tmp_path, kind, nx, ny, spacing, count, message):
-    path = _write_fld_text(tmp_path / "bad.fld", kind, nx, ny, spacing, ["0.5"] * count)
+    path = _write_fld_text(tmp_path / "bad.fld", kind, nx, ny, f"0 0 {spacing} {spacing}", ["0.5"] * count)
     with pytest.raises(ValueError, match=message) as info:
         read_fld(path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "kind, n, line, derived",
+    [
+        # nodes over [-1, 3] x [-1, 0]: no square centred on the origin
+        ("dirichlet_square", 9, "-1 -1 0.5 0.125", "-1 -1 0.25 0.25"),
+        ("periodic_cell", 4, "3 5 0.5 0.5", "0 0 0.5 0.5"),
+        ("periodic_cell", 4, "-0 0 0.5 0.5", "0 0 0.5 0.5"),
+        ("dirichlet_square", 4, "-1.5 -1.5 -1 -1", "-1.5 -1.5 1 1"),
+        ("dirichlet_square", 4, "-1.5 -1.5 nan nan", "-1.5 -1.5 1 1"),
+        ("dirichlet_square", 4, "-1.5 -1 1 1", "-1.5 -1.5 1 1"),
+    ],
+    ids=["square_off_centre", "cell_off_origin", "cell_at_minus_zero", "negative_spacing", "nan_spacing",
+         "unequal_origin"],
+)
+def test_fld_reader_refuses_a_grid_line_its_grid_does_not_have(tmp_path, kind, n, line, derived):
+    # the grid is built from the kind, node counts and sides; line 3 must be its own, bit for bit
+    path = _write_fld_text(tmp_path / "bad.fld", kind, n, n, line, ["0.5"] * (n * n))
+    with pytest.raises(ValueError, match=f"grid line '{line}' is not '{derived}'") as info:
+        read_fld(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 @pytest.mark.parametrize(
@@ -606,7 +650,7 @@ def test_fld_reader_refuses_bad_header_or_count(tmp_path, kind, nx, ny, spacing,
     ids=["unknown_kind", "nan_value"],
 )
 def test_fld_reader_names_the_file(tmp_path, kind, value, message):
-    path = _write_fld_text(tmp_path / "bad.fld", kind, 4, 4, 0.5, ["0.5"] * 15 + [value])
+    path = _write_fld_text(tmp_path / "bad.fld", kind, 4, 4, "0 0 0.5 0.5", ["0.5"] * 15 + [value])
     with pytest.raises(ValueError, match=message) as info:
         read_fld(path)
     assert str(info.value).startswith(f"{path}: ")

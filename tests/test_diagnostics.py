@@ -30,6 +30,21 @@ def test_vacuum_flux_is_exactly_zero():
     assert vl.energy_report(sol) == 0.0
 
 
+def test_a_replaced_state_carries_its_own_fields(torus_case):
+    # u and e^u are derived from the state, so replacing the state replaces
+    # them, and every diagnostic follows the state it is given
+    cfg, sol = torus_case
+    assert [f.name for f in dataclasses.fields(sol) if f.init] == ["state", "history", "config", "background"]
+    loose = vl.newton_solve(dataclasses.replace(cfg, tol_residual=1e-3), sol.background)
+    moved = dataclasses.replace(sol, state=loose.state)
+    for name in ("u1", "u2", "exp_u1", "exp_u2"):
+        assert np.array_equal(getattr(moved, name).values, getattr(loose, name).values)
+        assert not np.array_equal(getattr(moved, name).values, getattr(sol, name).values)
+    assert vl.eta_report(moved) == vl.eta_report(loose) != vl.eta_report(sol)
+    assert vl.flux_report(moved) == vl.flux_report(loose) != vl.flux_report(sol)
+    assert vl.residual_norm(moved) == vl.residual_norm(loose)
+
+
 def test_torus_flux_eta_energy(torus_case):
     cfg, sol = torus_case
     k = cfg.coupling

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -258,29 +259,32 @@ def test_grid_constructors_validate():
     for half_width in (0.0, -3.0):
         with pytest.raises(ValueError, match="half width must be positive"):
             vl.Grid2D.dirichlet(half_width, 8, 8)
-    with pytest.raises(ValueError, match="positive finite spacings"):
+    with pytest.raises(ValueError, match="cell sides must be positive and finite"):
         vl.Grid2D.periodic(math.inf, 1.0, 4, 4)
-    with pytest.raises(ValueError, match="finite origin"):
-        vl.Grid2D.dirichlet(math.inf, 8, 8)
+    for half_width in (math.inf, 1e308):  # 2R overflows at 1e308
+        with pytest.raises(ValueError, match="half width must be positive and finite"):
+            vl.Grid2D.dirichlet(half_width, 8, 8)
 
 
 @pytest.mark.parametrize(
-    "nx, ny, x0, hx, kind, message",
+    "nx, ny, l1, l2, kind, message",
     [
+        # the node counts are checked first, before the spacings divide by them
         (12, 16, 0.0, 0.5, vl.GridKind.PERIODIC_CELL, "power-of-two nx and ny, not 12 x 16"),
         (0, 0, 0.0, 0.5, vl.GridKind.PERIODIC_CELL, "power-of-two nx and ny, not 0 x 0"),
         (3, 8, 0.0, 0.5, vl.GridKind.DIRICHLET_SQUARE, "at least 4 x 4 nodes, not 3 x 8"),
-        (8, 8, 0.0, 0.0, vl.GridKind.PERIODIC_CELL, "positive finite spacings"),
-        (8, 8, 0.0, -1.0, vl.GridKind.DIRICHLET_SQUARE, "positive finite spacings"),
-        (8, 8, 0.0, math.nan, vl.GridKind.DIRICHLET_SQUARE, "positive finite spacings"),
-        (8, 8, 0.0, math.inf, vl.GridKind.PERIODIC_CELL, "positive finite spacings"),
-        (8, 8, -math.inf, 0.5, vl.GridKind.DIRICHLET_SQUARE, "finite origin"),
+        (8, 8, 0.0, 1.0, vl.GridKind.PERIODIC_CELL, "cell sides must be positive and finite"),
+        (8, 8, -1.0, -1.0, vl.GridKind.DIRICHLET_SQUARE, "half width must be positive and finite"),
+        (8, 8, math.nan, math.nan, vl.GridKind.DIRICHLET_SQUARE, "half width must be positive and finite"),
+        (8, 8, 1.0, math.inf, vl.GridKind.PERIODIC_CELL, "cell sides must be positive and finite"),
+        (8, 8, math.inf, math.inf, vl.GridKind.DIRICHLET_SQUARE, "half width must be positive and finite"),
+        (8, 8, 2.0, 3.0, vl.GridKind.DIRICHLET_SQUARE, "two sides 2R, not 2.0 x 3.0"),
     ],
 )
-def test_grid_checks_itself(nx, ny, x0, hx, kind, message):
-    # the checks hold for a grid built directly, as read_fld builds one
+def test_grid_checks_itself(nx, ny, l1, l2, kind, message):
+    # the checks hold for a grid built directly, not only through the factories
     with pytest.raises(ValueError, match=message):
-        vl.Grid2D(nx, ny, x0, x0, hx, hx, kind)
+        vl.Grid2D(kind, nx, ny, l1, l2)
 
 
 def test_grid_states_its_domain():
@@ -295,6 +299,17 @@ def test_grid_states_its_domain():
     assert square.half_width == 2.5 and square.area == 25.0
     with pytest.raises(WrongDomainKind):
         square.require_torus()
+
+
+def test_grid_stores_its_kind_nodes_and_sides():
+    assert [f.name for f in dataclasses.fields(vl.Grid2D)] == ["kind", "nx", "ny", "l1", "l2"]
+    cell = vl.Grid2D.periodic(2.0, 3.0, 8, 16)
+    assert cell == vl.Grid2D(vl.GridKind.PERIODIC_CELL, 8, 16, 2.0, 3.0)
+    assert (cell.x0, cell.y0, cell.hx, cell.hy) == (0.0, 0.0, 0.25, 0.1875)
+    square = vl.Grid2D.dirichlet(1.5, 4, 7)
+    assert square == vl.Grid2D(vl.GridKind.DIRICHLET_SQUARE, 4, 7, 3.0, 3.0)
+    assert (square.x0, square.y0, square.hx, square.hy, square.half_width) == (-1.5, -1.5, 1.0, 0.5, 1.5)
+    assert (square.xs[-1], square.ys[-1]) == (1.5, 1.5)
 
 
 def test_grid_recovers_its_extents_exactly(rng):

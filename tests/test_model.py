@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,23 @@ def test_coupling_p1_q2():
     assert k.lambda1 == 2.0
     assert k.lambda2 == 4.0
     assert k.lambda0 == 8.0
+
+
+def test_coupling_matrix_stores_p_and_q(rng):
+    # K is its couplings: every entry and eigenvalue is derived, with the
+    # expressions coupling_from_pq always used, and K is symmetric by construction
+    k = vl.CouplingMatrix(1.0, 2.0)
+    assert [f.name for f in dataclasses.fields(k)] == ["p", "q"]
+    assert k == vl.coupling_from_pq(1.0, 2.0)
+    for p, q in rng.uniform(0.01, 100.0, (200, 2)).tolist():
+        k = vl.CouplingMatrix(p, q)
+        k11, k12 = (p + q) / p, (p - q) / p
+        assert (k.k11, k.k12, k.k21, k.k22) == (k11, k12, k12, k11)
+        assert (k.det, k.lambda1, k.lambda2) == (k11 * k11 - k12 * k12, 2.0, 2.0 * q / p)
+    with pytest.raises(DecoupledSystem):
+        vl.CouplingMatrix(2.0, 2.0)
+    with pytest.raises(ValueError, match="p=1e-300, q=2.0 give a coupling matrix K that is not finite"):
+        vl.CouplingMatrix(1e-300, 2.0)
 
 
 def test_coupling_p2_q1():

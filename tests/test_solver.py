@@ -523,7 +523,7 @@ def test_coarse_level_hands_on_its_iterate_at_the_budget():
     # budget ends it without an error; on the finest level it raises
     cfg, bg = small_plane_setup(n=32)
     problem = solver._Problem(cfg, bg)
-    w1, w2, _, steps = solver._newton(problem, None, cfg.tol_residual, 1, finest=False)
+    w1, w2, steps = solver._newton(problem, None, cfg.tol_residual, 1, finest=False)
     assert [step.iteration for step in steps] == [0, 1]
     assert steps[-1].step_size == 0.0 and steps[-1].residual_inf > cfg.tol_residual
     assert np.any(w1 != problem.initial_w()[0])
