@@ -11,9 +11,9 @@ write.  report.json embeds the fully resolved configuration; pointing
 --config at a report reruns it and reproduces the outputs byte for byte,
 into any --out (pass the emit flags again to re-emit fields or profiles).
 
-Exit codes: 0 success or --help, 1 a usage error, an invalid config or
-unwritable outputs, 2 infeasible domain, 3 solver failure (non-convergence,
-or an error raised inside the solver).
+Exit codes: 0 success or --help; 1 a usage error, a config refused before
+--out is created, or unwritable outputs; 2 infeasible domain; 3 any other
+failure after the config was accepted, named by its exception type.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .errors import (
     MaxIterationsExceeded,
     ConvergenceFailure,
     NotRadiallyReducible,
-    SolverError,
     VortexLabError,
 )
 from .model import (
@@ -54,6 +53,7 @@ from .reporting import write_fld, write_json, write_radial_profile
 from .solver import (
     LOG2,
     ORACLE_MESH,
+    ORACLE_MIN_MESH,
     SolveConfig,
     default_plane_half_width,
     newton_solve,
@@ -118,8 +118,9 @@ def _parse_vortex_list(raw, key: str):
     return tuple(out)
 
 
-def resolve_config(raw: dict, mode: str) -> dict:
-    """Validate a raw config dict and fill every default explicitly."""
+def _problem(raw: dict, mode: str):
+    """The one parser of a config, resolved config or report into
+    ``(params, cfg, oracle_mesh)``: every refusal, ``mode``'s included."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     # a report.json is accepted transparently: rerun its embedded config
@@ -152,7 +153,6 @@ def resolve_config(raw: dict, mode: str) -> dict:
         _reject_unknown(dom_raw, {"kind", "L1", "L2"}, "domain")
         l1 = _as_number(_need(dom_raw, "L1", "domain"), "L1")
         l2 = _as_number(_need(dom_raw, "L2", "domain"), "L2")
-        domain = {"kind": "torus", "L1": l1, "L2": l2}
         mu = None
         if "mu" in raw and raw["mu"] is not None:
             raise ConfigError("key 'mu' applies only to plane domains")
@@ -162,7 +162,6 @@ def resolve_config(raw: dict, mode: str) -> dict:
             r_half = _as_number(dom_raw["R"], "R")
         else:
             r_half = default_plane_half_width(k, vortices)
-        domain = {"kind": "plane", "R": r_half}
         mu = raw.get("mu")
         mu = default_mu(vortices) if mu is None else _as_number(mu, "mu")
     else:
@@ -174,53 +173,53 @@ def resolve_config(raw: dict, mode: str) -> dict:
     _reject_unknown(grid_raw, {"nx", "ny"}, "grid")
     nx = _as_int(_need(grid_raw, "nx", "grid"), "nx")
     ny = _as_int(_need(grid_raw, "ny", "grid"), "ny")
-
-    resolved = {
-        "mode": mode,
-        "p": p,
-        "q": q,
-        "rho_bar": rho,
-        "domain": domain,
-        "grid": {"nx": nx, "ny": ny},
-        "vortices": {
-            "up": [[x, y, m] for x, y, m in up],
-            "down": [[x, y, m] for x, y, m in down],
-        },
-        "mu": mu,
-        **{
-            key: (_as_int if isinstance(default, int) else _as_number)(raw.get(key, default), key)
-            for key, default in _SOLVER_DEFAULTS.items()
-        },
+    settings = {
+        key: (_as_int if isinstance(default, int) else _as_number)(raw.get(key, default), key)
+        for key, default in _SOLVER_DEFAULTS.items()
     }
     # checked in every mode, resolved only where it applies
     oracle_mesh = _as_int(raw.get("oracle_mesh", ORACLE_MESH), "oracle_mesh")
+
+    params = PhysicalParams(p, q, rho)
+    grid = Grid2D.periodic(l1, l2, nx, ny) if kind == "torus" else Grid2D.dirichlet(r_half, nx, ny)
+    validate_vortex_positions(vortices, grid)
+    cfg = SolveConfig(coupling=k, vortices=vortices, grid=grid, mu=mu, **settings)
+
+    if mode == "check":
+        grid.require_torus()
+    if mode == "oracle-compare":
+        grid.require_plane()
+        for x, y, _ in vortices.up + vortices.down:
+            if math.hypot(x, y) > 1e-9:
+                raise NotRadiallyReducible(f"vortex at ({x}, {y}) is off the origin; no radial reduction")
+        if oracle_mesh < ORACLE_MIN_MESH:
+            raise ValueError(
+                f"mesh {oracle_mesh} too coarse: the radial oracle needs at least {ORACLE_MIN_MESH} nodes"
+            )
+    if mode != "check":
+        diagnostics.residual_nodes(grid, vortices)  # a grid with none is refused before the solve
+    return params, cfg, oracle_mesh
+
+
+def resolve_config(raw: dict, mode: str) -> dict:
+    """Validate a raw config dict and fill every default explicitly."""
+    params, cfg, oracle_mesh = _problem(raw, mode)
+    grid = cfg.grid
+    resolved = {
+        "mode": mode,
+        "p": params.p,
+        "q": params.q,
+        "rho_bar": params.average_density,
+        "domain": ({"kind": "torus", "L1": grid.l1, "L2": grid.l2} if grid.is_torus
+                   else {"kind": "plane", "R": grid.half_width}),
+        "grid": {"nx": grid.nx, "ny": grid.ny},
+        "vortices": {"up": [list(v) for v in cfg.vortices.up], "down": [list(v) for v in cfg.vortices.down]},
+        "mu": cfg.mu,
+        **{key: getattr(cfg, key) for key in _SOLVER_DEFAULTS},
+    }
     if mode == "oracle-compare":
         resolved["oracle_mesh"] = oracle_mesh
     return resolved
-
-
-def _build_problem(resolved: dict):
-    params = PhysicalParams(resolved["p"], resolved["q"], resolved["rho_bar"])
-    k = coupling_from_pq(resolved["p"], resolved["q"])
-    vortices = VortexSet(
-        up=tuple(tuple(v) for v in resolved["vortices"]["up"]),
-        down=tuple(tuple(v) for v in resolved["vortices"]["down"]),
-    )
-    dom = resolved["domain"]
-    nx, ny = resolved["grid"]["nx"], resolved["grid"]["ny"]
-    if dom["kind"] == "torus":
-        grid = Grid2D.periodic(dom["L1"], dom["L2"], nx, ny)
-    else:
-        grid = Grid2D.dirichlet(dom["R"], nx, ny)
-    validate_vortex_positions(vortices, grid)
-    cfg = SolveConfig(
-        coupling=k,
-        vortices=vortices,
-        grid=grid,
-        mu=resolved["mu"],
-        **{key: resolved[key] for key in _SOLVER_DEFAULTS},
-    )
-    return params, cfg
 
 
 def _admissibility_dict(cfg: SolveConfig) -> dict:
@@ -228,8 +227,7 @@ def _admissibility_dict(cfg: SolveConfig) -> dict:
 
 
 def run_check(resolved: dict, out_dir: Path) -> int:
-    _, cfg = _build_problem(resolved)
-    cfg.grid.require_torus()
+    _, cfg, _ = _problem(resolved, "check")
     adm = _admissibility_dict(cfg)
     write_json(out_dir / "admissibility.json", adm)
     return 0 if adm["feasible"] else 2
@@ -267,43 +265,27 @@ def _emit_profiles(out_dir: Path, cfg, sol) -> None:
     write_radial_profile(out_dir / "radial_profile.csv", radii, u1, u2, dev1 + dev2)
 
 
-def _solve(cfg: SolveConfig):
-    """newton_solve on a validated config: a ValueError from it is the solver's."""
-    diagnostics.residual_nodes(cfg.grid, cfg.vortices)  # a grid with none exits 1 before the solve
-    try:
-        return newton_solve(cfg)
-    except ValueError as exc:
-        raise SolverError(f"{type(exc).__name__} raised in the solver: {exc}") from exc
-
-
 def run_solve(resolved: dict, out_dir: Path, emit_fields: bool, emit_profiles: bool) -> int:
-    params, cfg = _build_problem(resolved)
-    sol = _solve(cfg)
+    params, cfg, _ = _problem(resolved, "solve")
+    sol = newton_solve(cfg)
     report = _solution_report(resolved, params, cfg, sol)
     write_json(out_dir / "report.json", report)
     if emit_fields:
         write_fld(out_dir / "u1.fld", sol.u1)
         write_fld(out_dir / "u2.fld", sol.u2)
         write_fld(out_dir / "B12.fld", diagnostics.b12_map(sol, params))
-    if emit_profiles and not cfg.grid.is_torus:
+    if emit_profiles:
         _emit_profiles(out_dir, cfg, sol)
     return 0
 
 
 def run_oracle_compare(resolved: dict, out_dir: Path) -> int:
-    _, cfg = _build_problem(resolved)
-    cfg.grid.require_plane()
-    for x, y, _ in cfg.vortices.up + cfg.vortices.down:
-        if math.hypot(x, y) > 1e-9:
-            raise NotRadiallyReducible(
-                f"vortex at ({x}, {y}) is off the origin; no radial reduction"
-            )
+    _, cfg, oracle_mesh = _problem(resolved, "oracle-compare")
     k = cfg.coupling
     r_half = cfg.grid.half_width
     rmax = max(r_half, 20.0 / k.decay_rate)
-    # the oracle needs no 2D solution: a bad oracle mesh fails before the solve
-    r_oracle, *u_oracle = radial_oracle(k, cfg.vortices.n1, cfg.vortices.n2, rmax, mesh=resolved["oracle_mesh"])
-    sol = _solve(cfg)
+    r_oracle, *u_oracle = radial_oracle(k, cfg.vortices.n1, cfg.vortices.n2, rmax, mesh=oracle_mesh)
+    sol = newton_solve(cfg)
 
     grid = cfg.grid
     mu = cfg.resolved_mu()
@@ -354,6 +336,14 @@ def main(argv=None) -> int:
 
     try:
         resolved = resolve_config(raw, args.mode)
+        if getattr(args, "emit_profiles", False) and resolved["domain"]["kind"] == "torus":
+            raise ConfigError("--emit-profiles applies only to plane domains")
+    except (VortexLabError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+    # the config is accepted: from here on, a failure is the program's
+    try:
         args.out.mkdir(parents=True, exist_ok=True)
         if args.mode == "check":
             return run_check(resolved, args.out)
@@ -369,12 +359,10 @@ def main(argv=None) -> int:
     except (MaxIterationsExceeded, LineSearchStalled, ConvergenceFailure, ExponentOverflow) as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return 3
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
+    except (VortexLabError, ValueError) as exc:
+        print(f"solver error: {type(exc).__name__} raised after the config was accepted: {exc}",
+              file=sys.stderr)
         return 3
-    except (ConfigError, NotRadiallyReducible, VortexLabError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

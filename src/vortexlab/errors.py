@@ -45,10 +45,6 @@ class LineSearchStalled(VortexLabError):
     """Backtracking reduced the step below 1e-14 without sufficient decrease."""
 
 
-class SolverError(VortexLabError):
-    """The solver raised a bare ValueError on a config that passed validation."""
-
-
 class ConvergenceFailure(VortexLabError):
     """An iteration broke down: the 1D radial solver did not converge, or CG
     met nonpositive curvature in the Newton Hessian."""

@@ -34,6 +34,10 @@ class PhysicalParams:
         _validate_pq(self.p, self.q)
         if not 0 < self.average_density < math.inf:  # written so that NaN fails
             raise ValueError("average_density must be positive and finite")
+        # 2(p + q) rho bounds eB = 2 p rho and the B12 coefficients 2(p +- q) rho, as p, q > 0
+        rho = self.average_density
+        if not 2.0 * (self.p + self.q) * rho < math.inf:
+            raise ValueError(f"average_density {rho} makes eB or the B12 coefficients overflow")
 
     @property
     def eb(self) -> float:

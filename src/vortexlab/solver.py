@@ -98,6 +98,7 @@ from .errors import (
     InfeasibleDomain,
     LineSearchStalled,
     MaxIterationsExceeded,
+    NonPositiveMu,
 )
 from .model import (
     CouplingMatrix,
@@ -117,6 +118,7 @@ CG_MAX_ITER = 400
 ARMIJO_C = 1e-4  # sufficient-decrease constant
 ARMIJO_BACKTRACK = 0.5  # step factor per rejected trial
 ORACLE_MESH = 8192  # nodes of the 1D radial oracle
+ORACLE_MIN_MESH = 64  # the fewest it accepts
 COARSEST_SIDE = 64  # fewest nodes per side of a coarse level
 
 
@@ -140,6 +142,8 @@ class SolveConfig:
             raise ValueError("max_newton must be >= 1")
         if self.mu is not None and self.grid.is_torus:
             raise ValueError("mu applies only to plane domains")
+        if self.mu is not None and not 0 < self.mu < math.inf:  # written so that NaN fails
+            raise NonPositiveMu(f"mu must be positive and finite, got {self.mu}")
 
     def resolved_mu(self) -> float:
         return self.mu if self.mu is not None else default_mu(self.vortices)
@@ -611,8 +615,8 @@ def radial_oracle(k: CouplingMatrix, n1: int, n2: int, rmax: float,
     rate = k.decay_rate
     if not 20.0 / rate <= rmax < math.inf:  # written so that NaN fails
         raise ValueError(f"rmax must be finite and at least {20.0 / rate:.3g} for this coupling")
-    if mesh < 64:
-        raise ValueError(f"mesh {mesh} too coarse: the radial oracle needs at least 64 nodes")
+    if mesh < ORACLE_MIN_MESH:
+        raise ValueError(f"mesh {mesh} too coarse: the radial oracle needs at least {ORACLE_MIN_MESH} nodes")
 
     m = mesh
     h = rmax / (m - 1)

@@ -82,13 +82,13 @@ def test_plane_rejects_bad_mu():
 
 
 def test_nan_mu_is_named_from_the_library():
-    # NaN fails every comparison, so the check must be written to fail on it
-    cfg = vl.SolveConfig(
-        coupling=vl.coupling_from_pq(1.0, 2.0), vortices=vl.VortexSet(up=((0.0, 0.0, 1),)),
-        grid=vl.Grid2D.dirichlet(9.0, 16, 16), mu=math.nan,
-    )
+    # NaN fails every comparison, so the check must be written to fail on it;
+    # the config refuses it before any solve
     with pytest.raises(NonPositiveMu, match="mu"):
-        vl.newton_solve(cfg)
+        vl.SolveConfig(
+            coupling=vl.coupling_from_pq(1.0, 2.0), vortices=vl.VortexSet(up=((0.0, 0.0, 1),)),
+            grid=vl.Grid2D.dirichlet(9.0, 16, 16), mu=math.nan,
+        )
 
 
 def test_plane_log_shift_is_smooth_and_consistent():

@@ -189,6 +189,57 @@ def test_oracle_mesh_is_checked_in_every_mode(tmp_path, capsys, mode):
     assert list(tmp_path.iterdir()) == [path]
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+PLANE_AT_ORIGIN = {
+    "p": 1.0, "q": 2.0, "domain": {"kind": "plane", "R": 10.0},
+    "grid": {"nx": 64, "ny": 64}, "vortices": {"up": [[0.0, 0.0, 1]]},
+}
+
+
+@pytest.mark.parametrize(
+    "mode, cfg, flags, message",
+    [
+        ("solve", torus_config(grid={"nx": 100, "ny": 100}), [], "power-of-two nx and ny, not 100 x 100"),
+        ("solve", torus_config(domain={"kind": "torus", "L1": 6.3, "L2": 6.3}, vortices={"up": [[9.0, 1.0, 1]]}),
+         [], "vortex (9.0, 1.0) outside the fundamental cell"),
+        ("solve", torus_config(tol_residual=0), [], "tol_residual must be positive and finite"),
+        ("solve", {**PLANE_AT_ORIGIN, "mu": -1}, [], "mu must be positive and finite, got -1.0"),
+        ("solve", torus_config(rho_bar=-1), [], "average_density must be positive and finite"),
+        ("check", CONFIGS / "plane_example.json", [], "operation requires a doubly periodic domain"),
+        ("oracle-compare", {**PLANE_AT_ORIGIN, "vortices": {"up": [[1.0, 1.0, 1]]}}, [],
+         "vortex at (1.0, 1.0) is off the origin; no radial reduction"),
+        ("oracle-compare", {**PLANE_AT_ORIGIN, "oracle_mesh": 10}, [],
+         "mesh 10 too coarse: the radial oracle needs at least 64 nodes"),
+        ("solve", {**PLANE_AT_ORIGIN, "grid": {"nx": 4, "ny": 4}}, [], "4x4 grid"),
+        ("solve", torus_config(grid={"nx": 64, "ny": 64}, rho_bar=1e308), ["--emit-fields"], "average_density 1e+308"),
+        ("solve", CONFIGS / "torus_example.json", ["--emit-profiles"], "--emit-profiles applies only to plane domains"),
+    ],
+    ids=["torus_100x100", "vortex_outside_cell", "tol_residual_0", "mu_negative", "rho_bar_negative",
+         "check_on_plane", "oracle_off_origin", "oracle_mesh_10", "plane_4x4", "rho_bar_overflow",
+         "emit_profiles_on_torus"],
+)
+def test_refused_config_leaves_no_out(tmp_path, capsys, mode, cfg, flags, message):
+    # every refusal comes before --out exists
+    path = cfg if isinstance(cfg, Path) else write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert cli.main([mode, "--config", str(path), "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def test_failure_after_acceptance_exits_3(tmp_path, monkeypatch, capsys):
+    # once the config is accepted, any failure is the program's, named by its type
+    def fail(sol, params):
+        raise ValueError("diagnostics broke")
+
+    monkeypatch.setattr(cli.diagnostics, "build_report", fail)
+    path = write_config(tmp_path, torus_config())
+    assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: ValueError") and "diagnostics broke" in err
+
+
 def test_out_naming_a_file_exits_1_with_a_message(tmp_path, capsys):
     path = write_config(tmp_path, torus_config())
     taken = tmp_path / "taken"
