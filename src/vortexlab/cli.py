@@ -12,8 +12,9 @@ write.  report.json embeds the fully resolved configuration; pointing
 into any --out (pass the emit flags again to re-emit fields or profiles).
 
 Exit codes: 0 success or --help; 1 a usage error, a config refused before
---out is created, or unwritable outputs; 2 infeasible domain; 3 any other
-failure after the config was accepted, named by its exception type.
+--out is created, or unwritable outputs; 2 infeasible domain (``solve``
+writes nothing, ``check`` its report); 3 any other failure after the
+config was accepted, named by its exception type.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .solver import (
     default_plane_half_width,
     newton_solve,
     radial_oracle,
+    require_feasible,
 )
 
 MODES = ("check", "solve", "oracle-compare")
@@ -196,6 +198,8 @@ def _problem(raw: dict, mode: str):
             raise ValueError(
                 f"mesh {oracle_mesh} too coarse: the radial oracle needs at least {ORACLE_MIN_MESH} nodes"
             )
+    if mode == "solve" and grid.is_torus:
+        require_feasible(cfg)  # InfeasibleDomain: exit 2, before --out exists
     if mode != "check":
         diagnostics.residual_nodes(grid, vortices)  # a grid with none is refused before the solve
     return params, cfg, oracle_mesh
@@ -338,6 +342,9 @@ def main(argv=None) -> int:
         resolved = resolve_config(raw, args.mode)
         if getattr(args, "emit_profiles", False) and resolved["domain"]["kind"] == "torus":
             raise ConfigError("--emit-profiles applies only to plane domains")
+    except InfeasibleDomain as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return 2
     except (VortexLabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -353,9 +360,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 1
-    except InfeasibleDomain as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 2
     except (MaxIterationsExceeded, LineSearchStalled, ConvergenceFailure, ExponentOverflow) as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return 3

@@ -10,12 +10,12 @@ The preconditioner (shift - Laplacian)^{-1} is the exact inverse of the same
 discrete operator on both kinds: a spectral division on periodic cells, and
 on Dirichlet squares one sine transform (DST-I along y) plus one block
 tridiagonal LDL^T solve along x (Hockney's Fourier-analysis/tridiagonal
-method).  A DST-I of length m = ny - 2 runs as an FFT of length 2(m + 1)
-when that length is a fast one (ny = 513, 1025, ...) or m is above 2046;
-otherwise it is applied as the orthonormal DST-I matrix folded by its
-symmetry, two half-size matrix products, whose spectrum comes in parity
-order (odd modes first).  ``_dst_by_fft`` makes that choice, for the transform and for the
-mode order of the tridiagonal factor alike.
+method).  The orthonormal DST-I is its own inverse, so the same transform
+runs before and after the tridiagonal solve, the modes in natural order.
+A DST-I of length m = ny - 2 runs as an FFT of length 2(m + 1) when that
+length is a fast one (ny = 513, 1025, ...) or m is above 2046; otherwise
+it is applied as the DST-I matrix folded by its symmetry, two half-size
+matrix products.  ``_dst_by_fft`` makes that choice.
 
 Coarse-to-fine solves halve a grid with ``coarsen`` and carry values back
 with ``prolong``: trigonometric interpolation on periodic cells, separable
@@ -291,8 +291,8 @@ _FOLD_MAX = 2046
 
 
 def _dst_by_fft(m: int) -> bool:
-    """Whether a DST-I of length m runs as an FFT (natural mode order) rather
-    than as the folded matrix product (parity mode order).
+    """Whether a DST-I of length m runs as an FFT rather than as the folded
+    matrix product.
 
     The FFT has length 2(m + 1).  With one BLAS thread on a 2-core x86 VM it
     won where that length is fast (m = 511, 2047); the folded product won or
@@ -326,12 +326,13 @@ def _dst_halves(m: int) -> tuple[np.ndarray, np.ndarray]:
     return odd, even
 
 
-def _dst_fold(x: np.ndarray) -> np.ndarray:
-    """Orthonormal DST-I along axis 0, in parity order: odd modes k = 1, 3, ...
-    first, then even modes k = 2, 4, ...
+def _dst_fold(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Orthonormal DST-I along axis 0, S x, written into ``out`` (which may be
+    a view) or a new array.  S is its own inverse, so a second call returns x.
 
-    The odd modes are O (x_top + x_bottom reversed, plus the middle row when
-    m is odd), the even modes E (x_top - x_bottom reversed).
+    The odd modes k = 1, 3, ... are O (x_top + x_bottom reversed, plus the
+    middle row when m is odd), the even modes E (x_top - x_bottom reversed);
+    each product writes its strided rows of ``out`` directly.
     """
     m = x.shape[0]
     p, q = m // 2, (m + 1) // 2
@@ -342,29 +343,11 @@ def _dst_fold(x: np.ndarray) -> np.ndarray:
     if q > p:
         folded[p] = x[p]
     np.subtract(top, bottom, out=folded[q:])
-    spec = np.empty(x.shape)
-    np.matmul(odd, folded[:q], out=spec[:q])
-    np.matmul(even, folded[q:], out=spec[q:])
-    return spec
-
-
-def _dst_unfold(spec: np.ndarray, out: np.ndarray) -> None:
-    """Inverse of ``_dst_fold``, written into ``out`` (which may be a view).
-
-    S is symmetric and orthogonal, so the inverse applies O^T and E^T and
-    unfolds: the top rows are the sum of the two halves, the bottom rows
-    reversed their difference.
-    """
-    m = spec.shape[0]
-    p, q = m // 2, (m + 1) // 2
-    odd, even = _dst_halves(m)
-    halves = np.empty(spec.shape)
-    np.matmul(odd.T, spec[:q], out=halves[:q])
-    np.matmul(even.T, spec[q:], out=halves[q:])
-    np.add(halves[:p], halves[q:], out=out[:p])
-    np.subtract(halves[:p], halves[q:], out=out[::-1][:p])
-    if q > p:
-        out[p] = halves[p]
+    if out is None:
+        out = np.empty(x.shape)
+    np.matmul(odd, folded[:q], out=out[0::2])
+    np.matmul(even, folded[q:], out=out[1::2])
+    return out
 
 
 # the two shifts of one level: the finest level factors last in a solve, so
@@ -375,14 +358,10 @@ def _x_tridiagonal_factor(grid: Grid2D, shift: float) -> tuple[np.ndarray, np.nd
 
     The modes are chained into one block-diagonal system, y mode major and x
     index minor (the row-major order of the transformed interior), with zero
-    couplings between blocks.  The y modes come in the order the sine
-    transform gives them: natural on the FFT path, parity (odd k first) on
-    the folded path.  The factor is read-only and shared.
+    couplings between blocks.  The factor is read-only and shared.
     """
     my, mx = grid.ny - 2, grid.nx - 2
     lam_y = _dirichlet_eigenvalues(my, grid.hy)
-    if not _dst_by_fft(my):
-        lam_y = np.concatenate((lam_y[0::2], lam_y[1::2]))
     diag = np.repeat(shift + lam_y + 2.0 / grid.hx**2, mx)
     off = np.full(my * mx - 1, -1.0 / grid.hx**2)
     off[mx - 1::mx] = 0.0
@@ -401,10 +380,9 @@ def solve_shifted_poisson(grid: Grid2D, rhs: np.ndarray, shift: float) -> np.nda
     the exact inverse of the 5-point operator on the interior (zero on the
     ring): a DST-I along y diagonalizes D_yy, each y mode leaves a symmetric
     positive definite tridiagonal system in x, solved with a cached LDL^T
-    factor, and an inverse DST-I along y returns to nodal values.  The DST-I
-    of length ny - 2 is an FFT when its FFT length is fast and the folded
-    matrix product otherwise (module docstring); the factor's mode order
-    follows the same choice.
+    factor, and the same DST-I, its own inverse, returns to nodal values.
+    The DST-I of length ny - 2 is an FFT when its FFT length is fast and the
+    folded matrix product otherwise (module docstring).
     """
     if not 0 < shift < math.inf:  # written so that NaN fails
         raise NonPositiveShift(f"shift must be positive and finite, got {shift}")
@@ -415,6 +393,8 @@ def solve_shifted_poisson(grid: Grid2D, rhs: np.ndarray, shift: float) -> np.nda
         return np.fft.irfft2(spec, s=grid.shape)
     diag, off = _x_tridiagonal_factor(grid, float(shift))
     by_fft = _dst_by_fft(grid.ny - 2)
+    # unnormalized, the FFT's DST-I is sqrt(2(m + 1)) S: the second call divides
+    # by 2(m + 1), as scaling both (norm="ortho") made a call 1-2% slower
     if by_fft:
         spec = scipy.fft.dst(rhs[1:-1, 1:-1], type=1, axis=0)
     else:
@@ -423,7 +403,7 @@ def solve_shifted_poisson(grid: Grid2D, rhs: np.ndarray, shift: float) -> np.nda
     solved = solved.reshape(spec.shape)
     out = np.zeros_like(rhs)
     if by_fft:
-        out[1:-1, 1:-1] = scipy.fft.idst(solved, type=1, axis=0, overwrite_x=True)
+        out[1:-1, 1:-1] = scipy.fft.dst(solved, type=1, axis=0, norm="forward", overwrite_x=True)
     else:
-        _dst_unfold(solved, out[1:-1, 1:-1])
+        _dst_fold(solved, out[1:-1, 1:-1])
     return out

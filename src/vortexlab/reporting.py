@@ -99,7 +99,7 @@ def read_fld(path: Path, kind: GridKind | None = None) -> ScalarField:
             raise ValueError(f"{path} holds a {stored.value} grid, not {kind.value}")
         kind = stored
     elif header != ["vortexfld", "1"]:
-        raise ValueError(f"not a vortexfld file: {path}")
+        raise ValueError(f"{path}: not a vortexfld file")
     elif kind is None:
         raise ValueError(f"{path} is a v1 .fld file, which does not record its grid kind: pass kind")
     if len(lines) < 3:

@@ -30,11 +30,12 @@ Two discretization choices matter for reproducibility:
   negation is exact, so the exchange symmetry holds bit for bit.
 
 Each Newton step solves H d = -g by CG preconditioned with (s_i - Lap)^{-1}
-per component: spectral on the torus, one sine transform plus one
-tridiagonal solve on the plane, where the sine transform is an FFT or,
-where that FFT length is slow, two half-size matrix products (see
-``discretization``).  The shifts s_i are the diagonal of the multipliers
-kappa M^T diag(e) M at the vacuum e = (1, 1) on the plane,
+per component: spectral on the torus; on the plane an orthonormal sine
+transform, one tridiagonal solve and the same transform again, as it is
+its own inverse.  The sine transform is an FFT or, where that FFT length
+is slow, two half-size matrix products (see ``discretization``).  The
+shifts s_i are the diagonal of the multipliers kappa M^T diag(e) M at the
+vacuum e = (1, 1) on the plane,
 (2 lambda1, 2 lambda2), and at the cell means eta_i/|Omega| on the torus:
 one shift per mode of the linearized far field.  The inverse is
 exact, so -Lap z_i = r_i - s_i z_i, and q = -Lap p follows the recurrence
@@ -101,6 +102,7 @@ from .errors import (
     NonPositiveMu,
 )
 from .model import (
+    AdmissibilityReport,
     CouplingMatrix,
     VortexSet,
     check_admissibility,
@@ -221,6 +223,16 @@ def default_plane_half_width(k: CouplingMatrix, vortices: VortexSet) -> float:
     return vortices.farthest_radius() + 18.0 / k.decay_rate
 
 
+def require_feasible(cfg: SolveConfig) -> AdmissibilityReport:
+    """The torus cell's admissibility report; ``InfeasibleDomain`` when the
+    cell area is below the existence threshold."""
+    area = cfg.grid.area
+    report = check_admissibility(cfg.coupling, cfg.vortices.n1, cfg.vortices.n2, area)
+    if not report.feasible:
+        raise InfeasibleDomain(f"cell area {area:.6g} is below the existence threshold {report.threshold:.6g}")
+    return report
+
+
 class _Problem:
     """Discrete functional/gradient/Hessian in raw-array form."""
 
@@ -239,11 +251,7 @@ class _Problem:
         area = cfg.grid.area
         n1, n2 = cfg.vortices.n1, cfg.vortices.n2
         if self.torus:
-            report = check_admissibility(k, n1, n2, area)
-            if not report.feasible:
-                raise InfeasibleDomain(
-                    f"cell area {area:.6g} is below the existence threshold {report.threshold:.6g}"
-                )
+            report = require_feasible(cfg)
             self.c1, self.c2 = eigen_forward_values(
                 4.0 * (1.0 - math.pi * n1 / area), 4.0 * (1.0 - math.pi * n2 / area), k
             )

@@ -97,11 +97,16 @@ def test_solve_vacuum_plane(tmp_path):
     assert report["config"]["mu"] == pytest.approx(16.0)
 
 
-def test_solve_infeasible_exit_2(tmp_path):
+def test_solve_infeasible_exit_2(tmp_path, capsys):
+    # the threshold depends only on the config, so nothing is written
     cfg = torus_config(domain={"kind": "torus", "L1": 1.0, "L2": 1.0},
                        vortices={"up": [[0.5, 0.5, 2]], "down": []})
     path = write_config(tmp_path, cfg)
-    assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: cell area 1 is below the existence threshold 4.71239")
+    assert not out.exists()
 
 
 def test_solve_nonconvergence_exit_3(tmp_path):
@@ -213,10 +218,25 @@ PLANE_AT_ORIGIN = {
         ("solve", {**PLANE_AT_ORIGIN, "grid": {"nx": 4, "ny": 4}}, [], "4x4 grid"),
         ("solve", torus_config(grid={"nx": 64, "ny": 64}, rho_bar=1e308), ["--emit-fields"], "average_density 1e+308"),
         ("solve", CONFIGS / "torus_example.json", ["--emit-profiles"], "--emit-profiles applies only to plane domains"),
+        ("solve", {k: v for k, v in torus_config().items() if k != "p"}, [], "missing key 'p' in config"),
+        ("solve", torus_config(grid={"nx": 32}), [], "missing key 'ny' in grid"),
+        ("solve", torus_config(p="1"), [], "key 'p' must be a number"),
+        ("solve", torus_config(vortices={"up": 5}), [], "key 'vortices.up' must be a list of [x, y, multiplicity]"),
+        ("solve", torus_config(vortices={"up": [[1.0, 1.0]]}), [], "entries of 'vortices.up' must be [x, y, multiplicity]"),
+        ("solve", [1], [], "config must be a JSON object"),
+        ("solve", {"config": 1, "diagnostics": {}}, [], "embedded 'config' must be a JSON object"),
+        ("solve", torus_config(vortices=[]), [], "key 'vortices' must be an object with 'up' and 'down'"),
+        ("solve", torus_config(domain="torus"), [], "key 'domain' must be an object"),
+        ("solve", torus_config(mu=4.0), [], "key 'mu' applies only to plane domains"),
+        ("solve", torus_config(domain={"kind": "sphere"}), [], "domain kind must be 'torus' or 'plane', got 'sphere'"),
+        ("solve", torus_config(grid=64), [], "key 'grid' must be an object"),
+        ("solve", torus_config(vortices={"up": [[1.9, 1.9, 0]]}), [], "multiplicity must be >= 1, got 0"),
     ],
     ids=["torus_100x100", "vortex_outside_cell", "tol_residual_0", "mu_negative", "rho_bar_negative",
          "check_on_plane", "oracle_off_origin", "oracle_mesh_10", "plane_4x4", "rho_bar_overflow",
-         "emit_profiles_on_torus"],
+         "emit_profiles_on_torus", "missing_p", "missing_ny", "p_string", "up_not_list", "up_entry_short",
+         "config_not_object", "embedded_config_not_object", "vortices_not_object", "domain_not_object",
+         "mu_on_torus", "kind_sphere", "grid_not_object", "multiplicity_0"],
 )
 def test_refused_config_leaves_no_out(tmp_path, capsys, mode, cfg, flags, message):
     # every refusal comes before --out exists
@@ -705,6 +725,35 @@ def test_fld_reader_names_the_file(tmp_path, kind, value, message):
     with pytest.raises(ValueError, match=message) as info:
         read_fld(path)
     assert str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("P2\n4 4\n0 0 0.5 0.5\n" + "0.5\n" * 16, "not a vortexfld file"),
+        ("vortexfld 2 periodic_cell\n4 4", "the header ends before its grid line"),
+        ("vortexfld 2 periodic_cell\n4\n0 0 0.5 0.5\n" + "0.5\n" * 16, "expected 'nx ny' in the header"),
+        ("vortexfld 2 periodic_cell\n4 4\n0 0 x 0.5\n" + "0.5\n" * 16, "expected 'x0 y0 hx hy'"),
+    ],
+    ids=["not_vortexfld", "no_grid_line", "one_node_count", "grid_line_not_numbers"],
+)
+def test_fld_reader_refuses_a_malformed_header(tmp_path, text, message):
+    path = tmp_path / "bad.fld"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message) as info:
+        read_fld(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_fld_reader_reads_other_line_ends(tmp_path, rng, newline):
+    field = vl.ScalarField(vl.Grid2D.dirichlet(1.5, 5, 4), rng.normal(size=(4, 5)))
+    write_fld(tmp_path / "f.fld", field)
+    path = tmp_path / "g.fld"
+    path.write_bytes((tmp_path / "f.fld").read_bytes().replace(b"\n", newline))
+    back = read_fld(path)
+    assert back.grid == field.grid
+    assert np.array_equal(back.values.view(np.uint64), field.values.view(np.uint64))
 
 
 def test_fld_reader_refuses_lines_past_the_field(tmp_path):

@@ -10,6 +10,7 @@ from vortexlab import solver
 from vortexlab.errors import (
     ExponentOverflow,
     InfeasibleDomain,
+    LineSearchStalled,
     MaxIterationsExceeded,
 )
 from vortexlab.model import eigen_inverse_values
@@ -224,6 +225,44 @@ def _torus_backtrack_config():
         vortices=vl.VortexSet(up=((6.0, 6.0, 2),), down=((14.0, 12.0, 1),)),
         grid=vl.Grid2D.periodic(l, l, 32, 32),
     )
+
+
+def _overflowing_exponentials(monkeypatch, fails):
+    """Patch ``_Problem.exponentials`` to raise ``ExponentOverflow`` on the
+    calls for which ``fails(call)`` holds, counting from 1; returns the count."""
+    calls = []
+    exponentials = solver._Problem.exponentials
+
+    def patched(*args):
+        calls.append(None)
+        if fails(len(calls)):
+            raise ExponentOverflow("exponent reached 701; iterate diverged")
+        return exponentials(*args)
+
+    monkeypatch.setattr(solver._Problem, "exponentials", patched)
+    return calls
+
+
+def test_overflowing_trial_backtracks(monkeypatch):
+    # one level: the first call is the start, the second the first Armijo
+    # trial, which counts as an infinite functional value and is halved
+    cfg, bg = small_torus_setup(n=32)
+    expected = vl.newton_solve(cfg, bg)
+    assert expected.history[0].step_size == 1.0
+    _overflowing_exponentials(monkeypatch, lambda call: call == 2)
+    sol = vl.newton_solve(cfg, bg)
+    assert sol.history[0].step_size == 0.5
+    for got, want in ((sol.u1, expected.u1), (sol.u2, expected.u2)):
+        assert np.max(np.abs(got.values - want.values)) <= 1e-10
+
+
+def test_line_search_stalls_when_every_trial_overflows(monkeypatch):
+    # trials at 1, 1/2, ..., 2^-46 are rejected; 2^-47 is below 1e-14
+    cfg, bg = small_torus_setup(n=32)
+    calls = _overflowing_exponentials(monkeypatch, lambda call: call > 1)
+    with pytest.raises(LineSearchStalled, match="stalled below 1e-14"):
+        vl.newton_solve(cfg, bg)
+    assert len(calls) == 1 + 47
 
 
 @pytest.mark.parametrize("make_cfg", [_torus_backtrack_config, _plane_config], ids=["torus", "plane"])
