@@ -25,6 +25,9 @@ a whole stack of fields over the same points in one call.
 
 Every operator here takes the grid and raw arrays; a ``ScalarField`` only
 carries a validated array with its grid between modules.
+
+scipy is imported inside the Dirichlet-square functions that use it, so a
+periodic-cell run loads numpy alone.
 """
 
 from __future__ import annotations
@@ -33,13 +36,14 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.fft
-import scipy.linalg.lapack
-import scipy.sparse
 
 from .errors import NonPositiveShift, WrongDomainKind
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 
 class GridKind(enum.Enum):
@@ -235,6 +239,8 @@ def _cubic_weights(n_coarse: int, pos: np.ndarray) -> scipy.sparse.csr_array:
     Each row weighs the four coarse nodes around its point, the stencil
     shifted inward at either end so that it never leaves the grid.
     """
+    import scipy.sparse
+
     first = np.clip(np.floor(pos).astype(int) - 1, 0, n_coarse - 4)
     t = pos - first  # the point's offset from the stencil's first node
     weights = np.stack([np.prod([(t - j) / (k - j) for j in range(4) if j != k], axis=0)
@@ -299,6 +305,8 @@ def _dst_by_fft(m: int) -> bool:
     tied at every other length measured from m = 126 to 2046, and lost at
     m = 2302, 3070 and 4094.
     """
+    import scipy.fft
+
     n = 2 * (m + 1)
     return m > _FOLD_MAX or scipy.fft.next_fast_len(n, real=True) == n
 
@@ -360,6 +368,8 @@ def _x_tridiagonal_factor(grid: Grid2D, shift: float) -> tuple[np.ndarray, np.nd
     index minor (the row-major order of the transformed interior), with zero
     couplings between blocks.  The factor is read-only and shared.
     """
+    import scipy.linalg.lapack
+
     my, mx = grid.ny - 2, grid.nx - 2
     lam_y = _dirichlet_eigenvalues(my, grid.hy)
     diag = np.repeat(shift + lam_y + 2.0 / grid.hx**2, mx)
@@ -391,6 +401,9 @@ def solve_shifted_poisson(grid: Grid2D, rhs: np.ndarray, shift: float) -> np.nda
         spec = np.fft.rfft2(rhs)
         spec /= shift + kx[None, :] ** 2 + ky[:, None] ** 2
         return np.fft.irfft2(spec, s=grid.shape)
+    import scipy.fft
+    import scipy.linalg.lapack
+
     diag, off = _x_tridiagonal_factor(grid, float(shift))
     by_fft = _dst_by_fft(grid.ny - 2)
     # unnormalized, the FFT's DST-I is sqrt(2(m + 1)) S: the second call divides

@@ -85,7 +85,7 @@ def read_fld(path: Path, kind: GridKind | None = None) -> ScalarField:
     """
     data = Path(path).read_bytes()
     if not data.isascii():
-        raise ValueError(f"{path} is not an ASCII file")
+        raise ValueError(f"{path}: not an ASCII file")
     if any(c in data for c in _BREAKS):
         data = data.replace(b"\r\n", b"\n").translate(_TO_NEWLINE)
     lines = data.split(b"\n", 3)
@@ -96,12 +96,12 @@ def read_fld(path: Path, kind: GridKind | None = None) -> ScalarField:
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         if kind not in (None, stored):
-            raise ValueError(f"{path} holds a {stored.value} grid, not {kind.value}")
+            raise ValueError(f"{path}: holds a {stored.value} grid, not {kind.value}")
         kind = stored
     elif header != ["vortexfld", "1"]:
         raise ValueError(f"{path}: not a vortexfld file")
     elif kind is None:
-        raise ValueError(f"{path} is a v1 .fld file, which does not record its grid kind: pass kind")
+        raise ValueError(f"{path}: a v1 .fld file does not record its grid kind: pass kind")
     if len(lines) < 3:
         raise ValueError(f"{path}: the header ends before its grid line")
     nx, ny = _header_numbers(path, lines[1], int, "nx ny")

@@ -72,10 +72,9 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .background import (
     BackgroundData,
@@ -110,6 +109,9 @@ from .model import (
     eigen_inverse_values,
     validate_vortex_positions,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 LOG2 = math.log(2.0)
 EXP_GUARD = 700.0
@@ -618,6 +620,9 @@ def radial_oracle(k: CouplingMatrix, n1: int, n2: int, rmax: float,
     independent of the 2D minimization path.  Both species are carried as one
     (2, mesh) array t.
     """
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     if n1 < 0 or n2 < 0:
         raise ValueError("vortex numbers must be nonnegative")
     rate = k.decay_rate
@@ -684,6 +689,8 @@ def _radial_laplacian(m: int, h: float, r: np.ndarray) -> scipy.sparse.csr_matri
 
     The last row is the identity: the Dirichlet row t[m - 1] = data.
     """
+    import scipy.sparse
+
     rj = r[1:-1]
     sub = (rj - 0.5 * h) / (rj * h**2)
     sup = (rj + 0.5 * h) / (rj * h**2)

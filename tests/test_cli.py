@@ -563,15 +563,19 @@ def test_fld_v1_read_exact(tmp_path, rng):
 
 def test_fld_v1_requires_kind(tmp_path):
     field = vl.ScalarField(vl.Grid2D.periodic(1.0, 1.0, 4, 4), np.zeros((4, 4)))
-    with pytest.raises(ValueError, match="does not record its grid kind"):
-        read_fld(_write_v1(tmp_path, field))
+    path = _write_v1(tmp_path, field)
+    with pytest.raises(ValueError, match="does not record its grid kind") as info:
+        read_fld(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_fld_kind_mismatch_raises(tmp_path):
     field = vl.ScalarField(vl.Grid2D.periodic(1.0, 1.0, 4, 4), np.zeros((4, 4)))
-    write_fld(tmp_path / "f.fld", field)
-    with pytest.raises(ValueError, match="periodic_cell"):
-        read_fld(tmp_path / "f.fld", kind=vl.GridKind.DIRICHLET_SQUARE)
+    path = tmp_path / "f.fld"
+    write_fld(path, field)
+    with pytest.raises(ValueError, match="holds a periodic_cell grid, not dirichlet_square") as info:
+        read_fld(path, kind=vl.GridKind.DIRICHLET_SQUARE)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_fld_bytes_match_per_value_formatter(tmp_path):
@@ -774,5 +778,6 @@ def test_fld_reader_still_refuses_bad_values(tmp_path, text, message):
     path = tmp_path / "f.fld"
     header = "vortexfld 2 periodic_cell\n4 4\n0 0 0.5 0.5\n"
     path.write_bytes((header + "0.5\n" * 15 + text + "\n").encode("utf-8"))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as info:
         read_fld(path)
+    assert str(info.value).startswith(f"{path}: ")
