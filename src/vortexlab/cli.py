@@ -363,7 +363,7 @@ def main(argv=None) -> int:
     except (MaxIterationsExceeded, LineSearchStalled, ConvergenceFailure, ExponentOverflow) as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return 3
-    except (VortexLabError, ValueError) as exc:
+    except (VortexLabError, ValueError, MemoryError) as exc:
         print(f"solver error: {type(exc).__name__} raised after the config was accepted: {exc}",
               file=sys.stderr)
         return 3

@@ -27,7 +27,9 @@ Every operator here takes the grid and raw arrays; a ``ScalarField`` only
 carries a validated array with its grid between modules.
 
 scipy is imported inside the Dirichlet-square functions that use it, so a
-periodic-cell run loads numpy alone.
+periodic-cell run loads numpy alone and a Dirichlet solve loads LAPACK
+(``scipy.linalg.lapack``), plus ``scipy.fft`` only where it runs the FFT
+sine transform.  Prolongation is numpy on both kinds.
 """
 
 from __future__ import annotations
@@ -36,14 +38,10 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NonPositiveShift, WrongDomainKind
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 
 class GridKind(enum.Enum):
@@ -232,22 +230,53 @@ def coarsen(grid: Grid2D) -> Grid2D:
     return replace(grid, nx=(grid.nx + 1) // 2, ny=(grid.ny + 1) // 2)
 
 
-def _cubic_weights(n_coarse: int, pos: np.ndarray) -> scipy.sparse.csr_array:
-    """Fine x coarse matrix of 4-point Lagrange (cubic) weights at the
-    fractional coarse indices ``pos``, four nonzeros per row.
+def _cubic_weights(n_coarse: int, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """4-point Lagrange (cubic) interpolation at the fractional coarse indices
+    ``pos``: (first, weights), the index of each point's first coarse node
+    and its four weights, shape (pos.size, 4).
 
-    Each row weighs the four coarse nodes around its point, the stencil
+    Each point weighs the four coarse nodes from ``first``, the stencil
     shifted inward at either end so that it never leaves the grid.
     """
-    import scipy.sparse
-
     first = np.clip(np.floor(pos).astype(int) - 1, 0, n_coarse - 4)
     t = pos - first  # the point's offset from the stencil's first node
     weights = np.stack([np.prod([(t - j) / (k - j) for j in range(4) if j != k], axis=0)
                         for k in range(4)], axis=1)
-    columns = first[:, None] + np.arange(4)
-    return scipy.sparse.csr_array((weights.ravel(), columns.ravel(), np.arange(0, weights.size + 1, 4)),
-                                  shape=(pos.size, n_coarse))
+    return first, weights
+
+
+# output rows per block of a cubic pass: a block and its tap buffer stay in cache
+_TAP_BLOCK = 64
+
+
+def _cubic_pass(values: np.ndarray, taps: tuple[np.ndarray, np.ndarray], axis: int) -> np.ndarray:
+    """Cubic interpolation of ``values`` along ``axis`` with ``taps`` =
+    ``_cubic_weights(...)``: sum over k of weights[:, k] * values.take(first + k).
+
+    Each output is accumulated from zero in tap order, the order in which a
+    sparse matrix product with four nonzeros per row sums it, so the result
+    is bit for bit that product's, signs of zero included.  A block of output
+    rows is done at a time.
+    """
+    first, weights = taps
+    shape = list(values.shape)
+    shape[axis] = first.size
+    out = np.zeros(shape)
+    buffer = np.empty((min(_TAP_BLOCK, shape[0]), shape[1]))
+    for start in range(0, shape[0], _TAP_BLOCK):
+        rows = slice(start, start + _TAP_BLOCK)
+        block = out[rows]
+        tap = buffer[:len(block)]
+        # along y a block gathers its own rows, each weighed by its own four
+        # weights; along x it gathers columns of its rows, weighed per column
+        src, index, w = ((values, first[rows], weights[rows, :, None]) if axis == 0
+                         else (values[rows], first, weights))
+        for k in range(4):
+            # the indices are in range: "clip" only spares take its out buffer
+            np.take(src, index + k, axis=axis, out=tap, mode="clip")
+            tap *= w[:, k]
+            block += tap
+    return out
 
 
 def prolong(coarse: Grid2D, values: np.ndarray, fine: Grid2D) -> np.ndarray:
@@ -258,18 +287,18 @@ def prolong(coarse: Grid2D, values: np.ndarray, fine: Grid2D) -> np.ndarray:
     spectrum zero-padded, each Nyquist mode split evenly between its + and
     - frequency so that the interpolant stays real and takes the coarse
     values at the coarse nodes.  On a Dirichlet square it is separable cubic
-    interpolation, P_y @ values @ P_x^T with four weights per row of each
-    1-D matrix (``_cubic_weights``): exact on bicubic polynomials, ring
-    included, and needing no nesting.  An interpolant of higher order than
-    the O(h^2) scheme is what lets nested iteration start the finer level
-    within its discretization error.  Both are linear with weights that do
-    not depend on the values, so negated values prolong to exactly the
-    negated result.
+    interpolation, four weights per fine node (``_cubic_weights``) applied
+    along y and then along x (``_cubic_pass``), bit for bit the product
+    P_y @ values @ P_x^T of the two 1-D interpolation matrices: exact on
+    bicubic polynomials, ring included, and needing no nesting.  An
+    interpolant of higher order than the O(h^2) scheme is what lets nested
+    iteration start the finer level within its discretization error.  Both
+    are linear with weights that do not depend on the values, so negated
+    values prolong to exactly the negated result.
     """
     if not coarse.is_torus:
-        p_x = _cubic_weights(coarse.nx, (fine.xs - coarse.x0) / coarse.hx)
-        p_y = _cubic_weights(coarse.ny, (fine.ys - coarse.y0) / coarse.hy)
-        return p_y @ values @ p_x.T
+        rows = _cubic_pass(values, _cubic_weights(coarse.ny, (fine.ys - coarse.y0) / coarse.hy), axis=0)
+        return _cubic_pass(rows, _cubic_weights(coarse.nx, (fine.xs - coarse.x0) / coarse.hx), axis=1)
     ny, nx = values.shape
     spec = np.fft.rfft2(values)
     padded = np.zeros((fine.ny, fine.nx // 2 + 1), dtype=complex)
@@ -303,12 +332,15 @@ def _dst_by_fft(m: int) -> bool:
     The FFT has length 2(m + 1).  With one BLAS thread on a 2-core x86 VM it
     won where that length is fast (m = 511, 2047); the folded product won or
     tied at every other length measured from m = 126 to 2046, and lost at
-    m = 2302, 3070 and 4094.
+    m = 2302, 3070 and 4094.  A fast length is one with no prime factor
+    but 2, 3 and 5, which is what ``scipy.fft.next_fast_len(n, real=True)
+    == n`` tests; the integer test spares a folded solve ``scipy.fft``.
     """
-    import scipy.fft
-
     n = 2 * (m + 1)
-    return m > _FOLD_MAX or scipy.fft.next_fast_len(n, real=True) == n
+    for prime in (2, 3, 5):
+        while n % prime == 0:
+            n //= prime
+    return m > _FOLD_MAX or n == 1
 
 
 # a length for each level of a four-level cascade (a 512^2 plane); the finest
@@ -401,7 +433,6 @@ def solve_shifted_poisson(grid: Grid2D, rhs: np.ndarray, shift: float) -> np.nda
         spec = np.fft.rfft2(rhs)
         spec /= shift + kx[None, :] ** 2 + ky[:, None] ** 2
         return np.fft.irfft2(spec, s=grid.shape)
-    import scipy.fft
     import scipy.linalg.lapack
 
     diag, off = _x_tridiagonal_factor(grid, float(shift))
@@ -409,6 +440,8 @@ def solve_shifted_poisson(grid: Grid2D, rhs: np.ndarray, shift: float) -> np.nda
     # unnormalized, the FFT's DST-I is sqrt(2(m + 1)) S: the second call divides
     # by 2(m + 1), as scaling both (norm="ortho") made a call 1-2% slower
     if by_fft:
+        import scipy.fft
+
         spec = scipy.fft.dst(rhs[1:-1, 1:-1], type=1, axis=0)
     else:
         spec = _dst_fold(rhs[1:-1, 1:-1])

@@ -486,6 +486,9 @@ def _newton(problem: _Problem, previous, tol: float, max_newton: int, finest: bo
                 f"residual {residual:.3g} > {tol:.3g} after {it} Newton steps"
             )
         mult = problem.hessian_multipliers(*exps)
+        # the multipliers were the exponentials' last use, and the accepted
+        # trial brings its own: two fields off CG's peak
+        del exps
         # Eisenstat-Walker forcing: tighten the inner solve with the residual
         # so the outer iteration keeps its quadratic tail
         cg_rel = min(CG_TOL, max(1e-8, residual))

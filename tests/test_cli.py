@@ -143,6 +143,19 @@ def test_solver_value_error_exit_3(tmp_path, monkeypatch, capsys, mode):
     assert "ValueError" in err and "non-finite values in ScalarField" in err
 
 
+def test_memory_error_after_acceptance_exit_3(tmp_path, monkeypatch, capsys):
+    # a solve that runs out of memory is the program's failure, not the config's
+    def exhaust(cfg):
+        raise MemoryError("Unable to allocate 2.00 MiB for an array")
+
+    monkeypatch.setattr(cli, "newton_solve", exhaust)
+    path = write_config(tmp_path, torus_config())
+    assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: MemoryError raised after the config was accepted: ")
+    assert "Unable to allocate" in err
+
+
 def test_config_value_error_exit_1(tmp_path, monkeypatch, capsys):
     # non-finite numbers and bad settings are refused before any solve
     def unreachable(cfg):

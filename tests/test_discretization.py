@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.sparse
 
 import vortexlab as vl
 from vortexlab.background import plane_source
 from vortexlab.discretization import (
+    _FOLD_MAX,
     _dst_by_fft,
     _dst_fold,
     coarsen,
@@ -123,6 +125,13 @@ def test_sine_transform_path_follows_fft_length():
         assert not _dst_by_fft(m)
 
 
+def test_sine_transform_path_is_scipys_fast_length_rule():
+    # the integer test decides as scipy.fft.next_fast_len(n, real=True) did
+    for m in range(2, 4201):
+        n = 2 * (m + 1)
+        assert _dst_by_fft(m) == (m > _FOLD_MAX or scipy.fft.next_fast_len(n, real=True) == n), m
+
+
 def test_poisson_preconditioner_fourier_mode():
     l1 = 2 * np.pi
     grid = vl.Grid2D.periodic(l1, l1, 32, 32)
@@ -202,6 +211,34 @@ def test_prolong_plane_observed_order_is_fourth():
         errors.append(np.max(np.abs(prolong(coarse, field(coarse), fine) - field(fine))))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all(orders >= 3.5), orders
+
+
+def _cubic_matrix(n_coarse, pos):
+    # the 1-D interpolation matrix, four nonzeros per row in tap order
+    first = np.clip(np.floor(pos).astype(int) - 1, 0, n_coarse - 4)
+    t = pos - first
+    weights = np.stack([np.prod([(t - j) / (k - j) for j in range(4) if j != k], axis=0)
+                        for k in range(4)], axis=1)
+    columns = first[:, None] + np.arange(4)
+    return scipy.sparse.csr_array((weights.ravel(), columns.ravel(), np.arange(0, weights.size + 1, 4)),
+                                  shape=(pos.size, n_coarse))
+
+
+@pytest.mark.parametrize("n", [64, 65, 100, 257, 511, 512])
+def test_prolong_plane_is_the_sparse_product_bit_for_bit(n, rng):
+    # P_y @ V @ P_x^T with scipy.sparse, on values spanning 1e-30 to 1e+30 with
+    # zeros of both signs: the same bits, signs of zero included
+    fine = vl.Grid2D.dirichlet(9.0, n, n)
+    coarse = coarsen(fine)
+    values = rng.normal(size=coarse.shape) * 10.0 ** rng.uniform(-30.0, 30.0, size=coarse.shape)
+    values[rng.random(coarse.shape) < 0.05] = 0.0
+    values[rng.random(coarse.shape) < 0.05] = -0.0
+    p_x = _cubic_matrix(coarse.nx, (fine.xs - coarse.x0) / coarse.hx)
+    p_y = _cubic_matrix(coarse.ny, (fine.ys - coarse.y0) / coarse.hy)
+    expected = p_y @ values @ p_x.T
+    out = prolong(coarse, values, fine)
+    assert np.array_equal(out, expected)
+    assert np.array_equal(np.signbit(out), np.signbit(expected))
 
 
 @pytest.mark.parametrize("fine", [vl.Grid2D.periodic(2.0, 3.0, 64, 32), vl.Grid2D.dirichlet(9.0, 129, 129),

@@ -1,4 +1,4 @@
-"""scipy is loaded only where the plane and the radial oracle need it.
+"""scipy is loaded only where the plane and the radial oracle run it.
 
 The test modules themselves import scipy, so a run's imports are checked in a
 fresh interpreter that imports nothing but the package.
@@ -50,11 +50,35 @@ def test_torus_solve_and_check_load_no_scipy(tmp_path):
     assert (tmp_path / "solve" / "u1.fld").is_file()
 
 
-def test_plane_solve_loads_scipy_on_its_own(tmp_path):
-    config = _small_config(tmp_path, "plane_example.json", 33)
+def _loaded(result, package):
+    return any(name == package or name.startswith(package + ".") for name in result["scipy"])
+
+
+def test_folded_plane_solve_loads_lapack_alone(tmp_path):
+    # at 128^2 the 126 and 62 interior nodes of both cascade levels take the
+    # folded sine transform, and prolongation is numpy
+    config = _small_config(tmp_path, "plane_example.json", 128)
     result = _run_fresh(["solve", "--config", config, "--out", str(tmp_path / "solve")])
     assert result["codes"] == [0]
-    assert result["scipy"]
+    assert _loaded(result, "scipy.linalg")
+    assert not _loaded(result, "scipy.fft")
+    assert not _loaded(result, "scipy.sparse")
+
+
+def test_fft_plane_solve_loads_no_sparse(tmp_path):
+    # at 129^2 both levels' sine transforms are FFTs of length 256 and 128
+    config = _small_config(tmp_path, "plane_example.json", 129)
+    result = _run_fresh(["solve", "--config", config, "--out", str(tmp_path / "solve")])
+    assert result["codes"] == [0]
+    assert _loaded(result, "scipy.fft")
+    assert not _loaded(result, "scipy.sparse")
+
+
+def test_oracle_compare_loads_sparse(tmp_path):
+    config = _small_config(tmp_path, "plane_example.json", 33)
+    result = _run_fresh(["oracle-compare", "--config", config, "--out", str(tmp_path / "oracle")])
+    assert result["codes"] == [0]
+    assert _loaded(result, "scipy.sparse")
 
 
 def _run_time_statements(body):
