@@ -54,12 +54,12 @@ from .reporting import write_fld, write_json, write_radial_profile
 from .solver import (
     LOG2,
     ORACLE_MESH,
-    ORACLE_MIN_MESH,
     SolveConfig,
     default_plane_half_width,
     newton_solve,
     radial_oracle,
     require_feasible,
+    require_oracle_mesh,
 )
 
 MODES = ("check", "solve", "oracle-compare")
@@ -194,14 +194,13 @@ def _problem(raw: dict, mode: str):
         for x, y, _ in vortices.up + vortices.down:
             if math.hypot(x, y) > 1e-9:
                 raise NotRadiallyReducible(f"vortex at ({x}, {y}) is off the origin; no radial reduction")
-        if oracle_mesh < ORACLE_MIN_MESH:
-            raise ValueError(
-                f"mesh {oracle_mesh} too coarse: the radial oracle needs at least {ORACLE_MIN_MESH} nodes"
-            )
+        require_oracle_mesh(oracle_mesh)
     if mode == "solve" and grid.is_torus:
         require_feasible(cfg)  # InfeasibleDomain: exit 2, before --out exists
     if mode != "check":
         diagnostics.residual_nodes(grid, vortices)  # a grid with none is refused before the solve
+    if mode == "oracle-compare":
+        _oracle_radii(grid)  # and so is an empty comparison window
     return params, cfg, oracle_mesh
 
 
@@ -283,25 +282,28 @@ def run_solve(resolved: dict, out_dir: Path, emit_fields: bool, emit_profiles: b
     return 0
 
 
+def _oracle_radii(grid: Grid2D) -> np.ndarray:
+    """The 48 radii ``oracle-compare`` samples; ``ConfigError`` if their window is empty."""
+    r_lo, r_hi = max(0.5, 3.0 * max(grid.hx, grid.hy)), 0.8 * grid.half_width
+    if r_hi < r_lo:
+        raise ConfigError(f"R = {grid.half_width:g} leaves an empty comparison window [{r_lo:g}, {r_hi:g}]")
+    return np.linspace(r_lo, r_hi, 48)
+
+
 def run_oracle_compare(resolved: dict, out_dir: Path) -> int:
     _, cfg, oracle_mesh = _problem(resolved, "oracle-compare")
-    k = cfg.coupling
-    r_half = cfg.grid.half_width
-    rmax = max(r_half, 20.0 / k.decay_rate)
+    k, grid, mu = cfg.coupling, cfg.grid, cfg.resolved_mu()
+    rmax = max(grid.half_width, 20.0 / k.decay_rate)
     r_oracle, *u_oracle = radial_oracle(k, cfg.vortices.n1, cfg.vortices.n2, rmax, mesh=oracle_mesh)
     sol = newton_solve(cfg)
 
-    grid = cfg.grid
-    mu = cfg.resolved_mu()
-    r_lo = max(0.5, 3.0 * max(grid.hx, grid.hy))
-    r_hi = 0.8 * r_half
-    radii = np.linspace(r_lo, r_hi, 48)
+    radii = _oracle_radii(grid)
     x, y = diagnostics.ring_points(radii)
     # sample u through the analytic background plus the interpolated smooth
     # correction; interpolating u directly would lose accuracy at the core
     v = np.stack(eigen_inverse_values(sol.state.w1.values, sol.state.w2.values, k))
     v_rings = bilinear_sample(grid, v, x, y)
-    comparison = {"config": resolved, "window": [float(r_lo), float(r_hi)], "radii": radii.tolist()}
+    comparison = {"config": resolved, "window": radii[[0, -1]].tolist(), "radii": radii.tolist()}
     species = zip((cfg.vortices.up, cfg.vortices.down), v_rings, u_oracle)
     for i, (vortices, v_ring, u_1d) in enumerate(species, start=1):
         u_rings = (plane_log_u0(vortices, mu, x, y) + v_ring - LOG2).mean(axis=1)

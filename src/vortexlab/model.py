@@ -50,6 +50,8 @@ class PhysicalParams:
 
 
 def _validate_pq(p: float, q: float) -> None:
+    if not (math.isfinite(p) and math.isfinite(q)):
+        raise ValueError(f"p and q must be finite, got p={p}, q={q}")
     if p == 0 or q == 0:
         raise NotPositiveDefinite("p and q must be nonzero")
     if p == q:
@@ -69,7 +71,7 @@ class CouplingMatrix:
 
     def __post_init__(self):
         _validate_pq(self.p, self.q)
-        if not all(math.isfinite(x) for x in (self.k11, self.k12, self.det)):  # NaN or inf p, q, or an overflow
+        if not all(math.isfinite(x) for x in (self.k11, self.k12, self.det)):  # q/p so large that K overflows
             raise ValueError(f"p={self.p}, q={self.q} give a coupling matrix K that is not finite")
 
     @property

@@ -72,7 +72,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -110,9 +109,6 @@ from .model import (
     validate_vortex_positions,
 )
 
-if TYPE_CHECKING:
-    import scipy.sparse
-
 LOG2 = math.log(2.0)
 EXP_GUARD = 700.0
 LOG_ZERO = -800.0  # stands in for ln(0) at exact vortex nodes; exp(-800.) == 0.0
@@ -122,7 +118,6 @@ CG_MAX_ITER = 400
 ARMIJO_C = 1e-4  # sufficient-decrease constant
 ARMIJO_BACKTRACK = 0.5  # step factor per rejected trial
 ORACLE_MESH = 8192  # nodes of the 1D radial oracle
-ORACLE_MIN_MESH = 64  # the fewest it accepts
 COARSEST_SIDE = 64  # fewest nodes per side of a coarse level
 
 
@@ -614,25 +609,28 @@ def hessian_matvec(state: State, direction: tuple[ScalarField, ScalarField],
 
 # -- Independent 1D radial oracle ------------------------------------------------
 
+def require_oracle_mesh(mesh: int) -> None:
+    """``ValueError`` when ``mesh`` is below the radial oracle's floor of 64 nodes."""
+    if mesh < 64:
+        raise ValueError(f"mesh {mesh} too coarse: the radial oracle needs at least 64 nodes")
+
+
 def radial_oracle(k: CouplingMatrix, n1: int, n2: int, rmax: float,
                   mesh: int = ORACLE_MESH) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve the radially reduced system with all vortices at the origin.
 
     Uses the substitution u_i = 2 n_i ln r + t_i and a damped Newton iteration
-    on the 1D finite-difference system with a direct sparse solve; entirely
-    independent of the 2D minimization path.  Both species are carried as one
-    (2, mesh) array t.
+    on the 1D finite-difference system; entirely independent of the 2D path.
+    Both species are carried as one (2, mesh) array t.  Interleaved as
+    (t_1j, t_2j), they give a Jacobian of bandwidth (2, 2): LAPACK ``gbsv``.
     """
-    import scipy.sparse
-    import scipy.sparse.linalg
+    import scipy.linalg
 
     if n1 < 0 or n2 < 0:
         raise ValueError("vortex numbers must be nonnegative")
-    rate = k.decay_rate
-    if not 20.0 / rate <= rmax < math.inf:  # written so that NaN fails
-        raise ValueError(f"rmax must be finite and at least {20.0 / rate:.3g} for this coupling")
-    if mesh < ORACLE_MIN_MESH:
-        raise ValueError(f"mesh {mesh} too coarse: the radial oracle needs at least {ORACLE_MIN_MESH} nodes")
+    if not 20.0 / k.decay_rate <= rmax < math.inf:  # written so that NaN fails
+        raise ValueError(f"rmax must be finite and at least {20.0 / k.decay_rate:.3g} for this coupling")
+    require_oracle_mesh(mesh)
 
     m = mesh
     h = rmax / (m - 1)
@@ -640,9 +638,12 @@ def radial_oracle(k: CouplingMatrix, n1: int, n2: int, rmax: float,
     ns = np.array([[n1], [n2]])
     # e^{u_i} = r^{2 n_i} e^{t_i}; the weight keeps the exact zero at r = 0 when n_i >= 1
     weights = np.array([r ** (2 * n1), r ** (2 * n2)])
-    lap = _radial_laplacian(m, h, r)
+    lower, diagonal, upper = _radial_laplacian(m, h, r)
     kk = np.array([[k.k11, k.k12], [k.k21, k.k22]])
     bc = -LOG2 - 2.0 * ns[:, 0] * math.log(rmax)
+    band = np.zeros((5, 2 * m))  # the Jacobian J in LAPACK band storage, band[2 + a - b, b] = J[a, b]
+    band[0, 2:] = np.repeat(upper, 2)
+    band[4, :-2] = np.repeat(lower, 2)
 
     # start from the mu-regularized ansatz u = n ln(r^2/(1+r^2)) - ln 2
     t = -LOG2 - ns * np.log1p(r**2)
@@ -650,12 +651,12 @@ def radial_oracle(k: CouplingMatrix, n1: int, n2: int, rmax: float,
 
     def residual(t):
         rho = weights * np.exp(t)
-        f = (lap @ t.T).T - 4.0 * (kk[:, :1] * rho[0] + kk[:, 1:] * rho[1] - 1.0)
+        f = diagonal * t
+        f[:, 1:] += lower * t[:, :-1]
+        f[:, :-1] += upper * t[:, 1:]
+        f -= 4.0 * (kk[:, :1] * rho[0] + kk[:, 1:] * rho[1] - 1.0)
         f[:, -1] = t[:, -1] - bc
         return f, rho
-
-    def norm(f):
-        return math.sqrt(float(np.dot(f[0], f[0]) + np.dot(f[1], f[1])))
 
     # the discrete residual cannot drop below the rounding floor of the
     # second differences, ~eps*|t|/h^2
@@ -669,16 +670,13 @@ def radial_oracle(k: CouplingMatrix, n1: int, n2: int, rmax: float,
             u[ns[:, 0] > 0, 0] = LOG_ZERO
             return r, u[0], u[1]
         rho[:, -1] = 0.0  # the Dirichlet row of the Jacobian is the identity alone
-        jac = scipy.sparse.bmat(
-            [[-4.0 * kk[i, j] * scipy.sparse.diags(rho[j]) + (lap if i == j else 0) for j in (0, 1)]
-             for i in (0, 1)],
-            format="csc",
-        )
-        delta = scipy.sparse.linalg.spsolve(jac, -f.ravel()).reshape(2, m)
-        fnorm = norm(f)
+        band[1, 1::2], band[3, ::2] = -4.0 * kk[0, 1] * rho[1], -4.0 * kk[1, 0] * rho[0]  # species coupling
+        band[2] = (diagonal - 4.0 * kk.diagonal()[:, None] * rho).T.ravel()
+        delta = scipy.linalg.solve_banded((2, 2), band, -f.T.ravel()).reshape(m, 2).T
+        fnorm = np.linalg.norm(f)
         eta = 1.0
         while eta > 1e-12:
-            if norm(residual(t + eta * delta)[0]) <= (1.0 - 1e-4 * eta) * fnorm:
+            if np.linalg.norm(residual(t + eta * delta)[0]) <= (1.0 - 1e-4 * eta) * fnorm:
                 break
             eta *= 0.5
         else:
@@ -687,13 +685,10 @@ def radial_oracle(k: CouplingMatrix, n1: int, n2: int, rmax: float,
     raise ConvergenceFailure("radial Newton did not reach tolerance in 60 iterations")
 
 
-def _radial_laplacian(m: int, h: float, r: np.ndarray) -> scipy.sparse.csr_matrix:
-    """Conservative stencil for u'' + u'/r with a regularity row at r = 0.
-
-    The last row is the identity: the Dirichlet row t[m - 1] = data.
-    """
-    import scipy.sparse
-
+def _radial_laplacian(m: int, h: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonals ``(lower, diagonal, upper)`` of the conservative stencil for
+    u'' + u'/r: a regularity row at r = 0, and the identity as the last row,
+    the Dirichlet row t[m - 1] = data."""
     rj = r[1:-1]
     sub = (rj - 0.5 * h) / (rj * h**2)
     sup = (rj + 0.5 * h) / (rj * h**2)
@@ -701,4 +696,4 @@ def _radial_laplacian(m: int, h: float, r: np.ndarray) -> scipy.sparse.csr_matri
     diagonal = np.concatenate([[-4.0 / h**2], -(sub + sup), [1.0]])
     upper = np.concatenate([[4.0 / h**2], sup])
     lower = np.append(sub, 0.0)
-    return scipy.sparse.diags([lower, diagonal, upper], [-1, 0, 1], format="csr")
+    return lower, diagonal, upper

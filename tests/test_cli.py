@@ -228,6 +228,8 @@ PLANE_AT_ORIGIN = {
          "vortex at (1.0, 1.0) is off the origin; no radial reduction"),
         ("oracle-compare", {**PLANE_AT_ORIGIN, "oracle_mesh": 10}, [],
          "mesh 10 too coarse: the radial oracle needs at least 64 nodes"),
+        ("oracle-compare", {**PLANE_AT_ORIGIN, "domain": {"kind": "plane", "R": 0.6}}, [],
+         "R = 0.6 leaves an empty comparison window [0.5, 0.48]"),
         ("solve", {**PLANE_AT_ORIGIN, "grid": {"nx": 4, "ny": 4}}, [], "4x4 grid"),
         ("solve", torus_config(grid={"nx": 64, "ny": 64}, rho_bar=1e308), ["--emit-fields"], "average_density 1e+308"),
         ("solve", CONFIGS / "torus_example.json", ["--emit-profiles"], "--emit-profiles applies only to plane domains"),
@@ -246,7 +248,8 @@ PLANE_AT_ORIGIN = {
         ("solve", torus_config(vortices={"up": [[1.9, 1.9, 0]]}), [], "multiplicity must be >= 1, got 0"),
     ],
     ids=["torus_100x100", "vortex_outside_cell", "tol_residual_0", "mu_negative", "rho_bar_negative",
-         "check_on_plane", "oracle_off_origin", "oracle_mesh_10", "plane_4x4", "rho_bar_overflow",
+         "check_on_plane", "oracle_off_origin", "oracle_mesh_10", "oracle_window_empty",
+         "plane_4x4", "rho_bar_overflow",
          "emit_profiles_on_torus", "missing_p", "missing_ny", "p_string", "up_not_list", "up_entry_short",
          "config_not_object", "embedded_config_not_object", "vortices_not_object", "domain_not_object",
          "mu_on_torus", "kind_sphere", "grid_not_object", "multiplicity_0"],

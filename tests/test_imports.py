@@ -1,4 +1,6 @@
-"""scipy is loaded only where the plane and the radial oracle run it.
+"""scipy is loaded only where the plane and the radial oracle run it, and
+scipy.sparse nowhere: a folded plane solve and the oracle's band solve load
+LAPACK alone.
 
 The test modules themselves import scipy, so a run's imports are checked in a
 fresh interpreter that imports nothing but the package.
@@ -74,11 +76,15 @@ def test_fft_plane_solve_loads_no_sparse(tmp_path):
     assert not _loaded(result, "scipy.sparse")
 
 
-def test_oracle_compare_loads_sparse(tmp_path):
-    config = _small_config(tmp_path, "plane_example.json", 33)
+def test_oracle_compare_loads_lapack_alone(tmp_path):
+    # the 2D solve folds as in the plane solve above, and the oracle's
+    # Newton steps are LAPACK band solves
+    config = _small_config(tmp_path, "plane_example.json", 128)
     result = _run_fresh(["oracle-compare", "--config", config, "--out", str(tmp_path / "oracle")])
     assert result["codes"] == [0]
-    assert _loaded(result, "scipy.sparse")
+    assert _loaded(result, "scipy.linalg")
+    assert not _loaded(result, "scipy.fft")
+    assert not _loaded(result, "scipy.sparse")
 
 
 def _run_time_statements(body):

@@ -78,25 +78,27 @@ def test_physical_params_derived():
 
 
 @pytest.mark.parametrize(
-    "call, error",
+    "call, error, match",
     [
         (lambda k, x: solve_shifted_poisson(vl.Grid2D.periodic(1.0, 1.0, 8, 8), np.ones((8, 8)), x),
-         NonPositiveShift),
-        (lambda k, x: vl.PhysicalParams(1.0, 2.0, x), ValueError),
-        (lambda k, x: vl.check_admissibility(k, 1, 0, x), ValueError),
-        (lambda k, x: vl.radial_oracle(k, 1, 0, x), ValueError),
+         NonPositiveShift, None),
+        (lambda k, x: vl.PhysicalParams(1.0, 2.0, x), ValueError, None),
+        (lambda k, x: vl.check_admissibility(k, 1, 0, x), ValueError, None),
+        (lambda k, x: vl.radial_oracle(k, 1, 0, x), ValueError, None),
         (lambda k, x: plane_background(vl.VortexSet(up=((0.0, 0.0, 1),)), x, vl.Grid2D.dirichlet(9.0, 8, 8)),
-         NonPositiveMu),
-        (lambda k, x: vl.coupling_from_pq(x, 2.0), ValueError),
-        (lambda k, x: vl.coupling_from_pq(1.0, x), ValueError),
+         NonPositiveMu, None),
+        (lambda k, x: vl.coupling_from_pq(x, 2.0), ValueError, None),
+        (lambda k, x: vl.coupling_from_pq(1.0, x), ValueError, None),
+        (lambda k, x: vl.PhysicalParams(x, 2.0), ValueError, "p and q must be finite, got p="),
+        (lambda k, x: vl.PhysicalParams(1.0, x), ValueError, "p and q must be finite, got p=1.0, q="),
     ],
     ids=["poisson_shift", "average_density", "admissibility_area", "oracle_rmax", "plane_mu", "coupling_p",
-         "coupling_q"],
+         "coupling_q", "physical_params_p", "physical_params_q"],
 )
-def test_nan_fails_the_guard(call, error):
-    # NaN and +inf each fail every guard
-    for x in (math.nan, math.inf):
-        with pytest.raises(error):
+def test_nan_fails_the_guard(call, error, match):
+    # NaN and +-inf each fail every guard, and p or q is named as the cause
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(error, match=match):
             call(vl.coupling_from_pq(1.0, 2.0), x)
 
 

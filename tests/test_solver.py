@@ -3,7 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse
 
 import vortexlab as vl
 from vortexlab import solver
@@ -632,21 +631,59 @@ def test_radial_laplacian_is_exact_on_r_squared_with_a_dirichlet_last_row(m, rma
     # it: each row misses 4 only by the rounding of its cancelling terms
     h = rmax / (m - 1)
     r = h * np.arange(m)
-    lap = solver._radial_laplacian(m, h, r)
-    error = np.abs(lap @ r**2 - 4.0)
-    assert np.all(error[:-1] <= 1e-12 * (abs(lap) @ r**2)[:-1])
-    last = lap[[m - 1]].toarray().ravel()
-    assert np.array_equal(last, np.eye(m)[m - 1])
+    lower, diagonal, upper = solver._radial_laplacian(m, h, r)
+    assert (lower.shape, diagonal.shape, upper.shape) == ((m - 1,), (m,), (m - 1,))
+
+    def apply(sub, diag, sup, x):
+        y = diag * x
+        y[1:] += sub * x[:-1]
+        y[:-1] += sup * x[1:]
+        return y
+
+    error = np.abs(apply(lower, diagonal, upper, r**2) - 4.0)
+    assert np.all(error[:-1] <= 1e-12 * apply(abs(lower), abs(diagonal), abs(upper), r**2)[:-1])
+    # the last row is (0, ..., 0, 1): it has no upper entry
+    assert (lower[-1], diagonal[-1]) == (0.0, 1.0)
     # the same coefficients, bit for bit, as the stencil written node by node
-    rows, cols, vals = [0, 0], [0, 1], [-4.0 / h**2, 4.0 / h**2]
+    subs, diagonals, sups = [], [-4.0 / h**2], [4.0 / h**2]
     for j in range(1, m - 1):
         sub = (r[j] - 0.5 * h) / (r[j] * h**2)
         sup = (r[j] + 0.5 * h) / (r[j] * h**2)
-        rows += [j, j, j]
-        cols += [j - 1, j, j + 1]
-        vals += [sub, -(sub + sup), sup]
-    reference = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(m, m))
-    assert (lap[:-1] != reference[:-1]).nnz == 0
+        subs.append(sub)
+        diagonals.append(-(sub + sup))
+        sups.append(sup)
+    assert np.array_equal(lower[:-1], subs)
+    assert np.array_equal(diagonal[:-1], diagonals)
+    assert np.array_equal(upper, sups)
+
+
+@pytest.mark.parametrize("n1, n2, rmax", [(2, 1, 12.0), (3, 3, 14.0)])
+def test_radial_oracle_meets_its_tolerance_on_the_node_by_node_stencil(n1, n2, rmax):
+    # t_i = u_i - 2 n_i ln r, put back into the discrete equations
+    # t'' + t'/r = 4 (sum_j k_ij r^(2 n_j) e^(t_j) - 1), written node by node,
+    # and t_i(rmax) = -ln 2 - 2 n_i ln rmax.  Rows 0 and 1 read t(0), which u
+    # does not carry when n_i >= 1 (u_i(0) = LOG_ZERO), so they are left out
+    k = vl.coupling_from_pq(1.0, 2.0)
+    m = 2048
+    r, u1, u2 = vl.radial_oracle(k, n1, n2, rmax, mesh=m)
+    h = rmax / (m - 1)
+    ns = np.array([[n1], [n2]])
+    bc = -LOG2 - 2.0 * ns[:, 0] * math.log(rmax)
+    t = np.zeros((2, m))
+    t[:, 1:] = np.stack((u1, u2))[:, 1:] - 2.0 * ns * np.log(r[1:])
+    kk = np.array([[k.k11, k.k12], [k.k21, k.k22]])
+    f = np.zeros((2, m))
+    for j in range(2, m - 1):
+        sub = (r[j] - 0.5 * h) / (r[j] * h**2)
+        sup = (r[j] + 0.5 * h) / (r[j] * h**2)
+        lap = sub * t[:, j - 1] - (sub + sup) * t[:, j] + sup * t[:, j + 1]
+        f[:, j] = lap - 4.0 * (kk @ (r[j] ** (2 * ns[:, 0]) * np.exp(t[:, j])) - 1.0)
+    f[:, -1] = t[:, -1] - bc
+    # the oracle's tolerance, scaled by its start -ln 2 - n ln(1 + r^2)
+    start = -LOG2 - ns * np.log1p(r**2)
+    start[:, -1] = bc
+    tol = max(1e-8, 64.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(start)))) / h**2)
+    assert np.max(np.abs(f)) <= tol
 
 
 def test_radial_oracle_rejects_short_domain():
