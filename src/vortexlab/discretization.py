@@ -230,52 +230,26 @@ def coarsen(grid: Grid2D) -> Grid2D:
     return replace(grid, nx=(grid.nx + 1) // 2, ny=(grid.ny + 1) // 2)
 
 
-def _cubic_weights(n_coarse: int, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """4-point Lagrange (cubic) interpolation at the fractional coarse indices
-    ``pos``: (first, weights), the index of each point's first coarse node
-    and its four weights, shape (pos.size, 4).
+def _cubic(values: np.ndarray, pos: np.ndarray, axis: int) -> np.ndarray:
+    """4-point Lagrange (cubic) interpolation of ``values`` along ``axis`` at
+    the fractional indices ``pos``.
 
-    Each point weighs the four coarse nodes from ``first``, the stencil
-    shifted inward at either end so that it never leaves the grid.
+    Each point weighs the four nodes from ``first``, the stencil shifted
+    inward at either end so that it never leaves the grid.  The four taps are
+    summed from zero in tap order, the order in which a sparse matrix product
+    with four nonzeros per row sums them, so the result is bit for bit that
+    product's, signs of zero included.
     """
-    first = np.clip(np.floor(pos).astype(int) - 1, 0, n_coarse - 4)
+    first = np.clip(np.floor(pos).astype(int) - 1, 0, values.shape[axis] - 4)
     t = pos - first  # the point's offset from the stencil's first node
-    weights = np.stack([np.prod([(t - j) / (k - j) for j in range(4) if j != k], axis=0)
-                        for k in range(4)], axis=1)
-    return first, weights
-
-
-# output rows per block of a cubic pass: a block and its tap buffer stay in cache
-_TAP_BLOCK = 64
-
-
-def _cubic_pass(values: np.ndarray, taps: tuple[np.ndarray, np.ndarray], axis: int) -> np.ndarray:
-    """Cubic interpolation of ``values`` along ``axis`` with ``taps`` =
-    ``_cubic_weights(...)``: sum over k of weights[:, k] * values.take(first + k).
-
-    Each output is accumulated from zero in tap order, the order in which a
-    sparse matrix product with four nonzeros per row sums it, so the result
-    is bit for bit that product's, signs of zero included.  A block of output
-    rows is done at a time.
-    """
-    first, weights = taps
     shape = list(values.shape)
-    shape[axis] = first.size
+    shape[axis] = pos.size
     out = np.zeros(shape)
-    buffer = np.empty((min(_TAP_BLOCK, shape[0]), shape[1]))
-    for start in range(0, shape[0], _TAP_BLOCK):
-        rows = slice(start, start + _TAP_BLOCK)
-        block = out[rows]
-        tap = buffer[:len(block)]
-        # along y a block gathers its own rows, each weighed by its own four
-        # weights; along x it gathers columns of its rows, weighed per column
-        src, index, w = ((values, first[rows], weights[rows, :, None]) if axis == 0
-                         else (values[rows], first, weights))
-        for k in range(4):
-            # the indices are in range: "clip" only spares take its out buffer
-            np.take(src, index + k, axis=axis, out=tap, mode="clip")
-            tap *= w[:, k]
-            block += tap
+    for k in range(4):
+        weight = np.prod([(t - j) / (k - j) for j in range(4) if j != k], axis=0)
+        tap = np.take(values, first + k, axis=axis)
+        tap *= np.expand_dims(weight, 1 - axis)  # one weight per row (axis 0) or column (axis 1)
+        out += tap
     return out
 
 
@@ -287,18 +261,17 @@ def prolong(coarse: Grid2D, values: np.ndarray, fine: Grid2D) -> np.ndarray:
     spectrum zero-padded, each Nyquist mode split evenly between its + and
     - frequency so that the interpolant stays real and takes the coarse
     values at the coarse nodes.  On a Dirichlet square it is separable cubic
-    interpolation, four weights per fine node (``_cubic_weights``) applied
-    along y and then along x (``_cubic_pass``), bit for bit the product
-    P_y @ values @ P_x^T of the two 1-D interpolation matrices: exact on
-    bicubic polynomials, ring included, and needing no nesting.  An
-    interpolant of higher order than the O(h^2) scheme is what lets nested
-    iteration start the finer level within its discretization error.  Both
-    are linear with weights that do not depend on the values, so negated
-    values prolong to exactly the negated result.
+    interpolation, four weights per fine node applied along y and then along
+    x (``_cubic``), bit for bit the product P_y @ values @ P_x^T of the two
+    1-D interpolation matrices: exact on bicubic polynomials, ring included,
+    and needing no nesting.  An interpolant of higher order than the O(h^2)
+    scheme is what lets nested iteration start the finer level within its
+    discretization error.  Both are linear with weights that do not depend
+    on the values, so negated values prolong to exactly the negated result.
     """
     if not coarse.is_torus:
-        rows = _cubic_pass(values, _cubic_weights(coarse.ny, (fine.ys - coarse.y0) / coarse.hy), axis=0)
-        return _cubic_pass(rows, _cubic_weights(coarse.nx, (fine.xs - coarse.x0) / coarse.hx), axis=1)
+        rows = _cubic(values, (fine.ys - coarse.y0) / coarse.hy, axis=0)
+        return _cubic(rows, (fine.xs - coarse.x0) / coarse.hx, axis=1)
     ny, nx = values.shape
     spec = np.fft.rfft2(values)
     padded = np.zeros((fine.ny, fine.nx // 2 + 1), dtype=complex)

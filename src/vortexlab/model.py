@@ -16,6 +16,7 @@ lambda0 = 4*min(2, 2q/p).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .discretization import Grid2D
@@ -31,7 +32,7 @@ class PhysicalParams:
     average_density: float = 1.0
 
     def __post_init__(self):
-        _validate_pq(self.p, self.q)
+        CouplingMatrix(self.p, self.q)  # refuses the couplings K refuses, with its messages
         if not 0 < self.average_density < math.inf:  # written so that NaN fails
             raise ValueError("average_density must be positive and finite")
         # 2(p + q) rho bounds eB = 2 p rho and the B12 coefficients 2(p +- q) rho, as p, q > 0
@@ -49,30 +50,27 @@ class PhysicalParams:
         return math.pi / self.p
 
 
-def _validate_pq(p: float, q: float) -> None:
-    if not (math.isfinite(p) and math.isfinite(q)):
-        raise ValueError(f"p and q must be finite, got p={p}, q={q}")
-    if p == 0 or q == 0:
-        raise NotPositiveDefinite("p and q must be nonzero")
-    if p == q:
-        raise DecoupledSystem("p == q decouples the two species")
-    if p * q <= 0:
-        raise NotPositiveDefinite(f"p*q must be positive, got p={p}, q={q}")
-    if p < 0:
-        # p, q < 0 gives the same K, but the filling factor pi/p would be
-        # negative; refuse rather than silently reinterpret
-        raise UnphysicalCoupling(f"p must be positive, got p={p}")
-
-
 @dataclass(frozen=True)
 class CouplingMatrix:
     p: float
     q: float
 
     def __post_init__(self):
-        _validate_pq(self.p, self.q)
+        p, q = self.p, self.q
+        if not (math.isfinite(p) and math.isfinite(q)):
+            raise ValueError(f"p and q must be finite, got p={p}, q={q}")
+        if p == 0 or q == 0:
+            raise NotPositiveDefinite("p and q must be nonzero")
+        if p == q:
+            raise DecoupledSystem("p == q decouples the two species")
+        if p * q <= 0:
+            raise NotPositiveDefinite(f"p*q must be positive, got p={p}, q={q}")
+        if p < 0:
+            # p, q < 0 gives the same K, but the filling factor pi/p would be
+            # negative; refuse rather than silently reinterpret
+            raise UnphysicalCoupling(f"p must be positive, got p={p}")
         if not all(math.isfinite(x) for x in (self.k11, self.k12, self.det)):  # q/p so large that K overflows
-            raise ValueError(f"p={self.p}, q={self.q} give a coupling matrix K that is not finite")
+            raise ValueError(f"p={p}, q={q} give a coupling matrix K that is not finite")
 
     @property
     def k11(self) -> float:
@@ -124,6 +122,8 @@ def _normalize_vortices(raw) -> tuple[Vortex, ...]:
     out = []
     for entry in raw:
         x, y, m = entry
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+            raise ValueError(f"multiplicity must be an integer, got {m!r}")
         m = int(m)
         if m < 1:
             raise ValueError(f"multiplicity must be >= 1, got {m}")

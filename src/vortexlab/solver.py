@@ -133,6 +133,8 @@ class SolveConfig:
     max_newton: int = 50
 
     def __post_init__(self):
+        if isinstance(self.tol_residual, bool) or not isinstance(self.tol_residual, numbers.Real):
+            raise ValueError(f"tol_residual must be a real number, got {self.tol_residual!r}")
         if not 0 < self.tol_residual < math.inf:  # written so that NaN fails
             raise ValueError("tol_residual must be positive and finite")
         if isinstance(self.max_newton, bool) or not isinstance(self.max_newton, numbers.Integral):
@@ -525,24 +527,23 @@ def _levels(cfg: SolveConfig, bg: BackgroundData) -> list[tuple[Grid2D, Backgrou
     """(grid, background) of each cascade level, coarsest first, ending with
     the solve's own.
 
-    Sides halve while the coarser level keeps at least ``COARSEST_SIDE``
-    nodes per side.  A torus background is the finer one's [::2, ::2]: the
-    corner nodes nest and the finer normalization carries over, so every
-    level's w approximates the same function.  A plane background is built
-    on its own level.
+    Each level's grid is the next finer one's ``coarsen``, taken while it
+    keeps at least ``COARSEST_SIDE`` nodes on every side.  A torus
+    background is the finer one's [::2, ::2]: the corner nodes nest and the
+    finer normalization carries over, so every level's w approximates the
+    same function.  A plane background is built on its own level.
     """
     levels = [(cfg.grid, bg)]
-    # a halved side, n//2 (n even on the torus) or (n + 1)//2, keeps
-    # COARSEST_SIDE nodes exactly when n >= 2*COARSEST_SIDE - 1
-    while min(levels[0][0].nx, levels[0][0].ny) >= 2 * COARSEST_SIDE - 1:
+    grid = coarsen(cfg.grid)
+    while min(grid.nx, grid.ny) >= COARSEST_SIDE:
         fine_bg = levels[0][1]
-        grid = coarsen(levels[0][0])
         if grid.is_torus:
             level_bg = BackgroundData(ScalarField(grid, fine_bg.exp_u0_up.values[::2, ::2]),
                                       ScalarField(grid, fine_bg.exp_u0_down.values[::2, ::2]))
         else:
             level_bg = build_background(cfg.vortices, grid, mu=bg.mu)
         levels.insert(0, (grid, level_bg))
+        grid = coarsen(grid)
     return levels
 
 

@@ -77,6 +77,19 @@ def test_physical_params_derived():
     assert params.filling_factor == pytest.approx(math.pi / 2.0)
 
 
+@pytest.mark.parametrize("p, q, error, match", [
+    (1e-300, 2.0, ValueError, "p=1e-300, q=2.0 give a coupling matrix K that is not finite"),
+    (1.0, 1.0, DecoupledSystem, "p == q decouples the two species"),
+    (1.0, 0.0, NotPositiveDefinite, "p and q must be nonzero"),
+    (-1.0, -2.0, UnphysicalCoupling, "p must be positive, got p=-1.0"),
+], ids=["k_overflows", "decoupled", "q_zero", "negative"])
+def test_physical_params_refuses_what_coupling_matrix_refuses(p, q, error, match):
+    # the same couplings, the same exception and message
+    for make in (vl.CouplingMatrix, vl.PhysicalParams):
+        with pytest.raises(error, match=match):
+            make(p, q)
+
+
 @pytest.mark.parametrize(
     "call, error, match",
     [
@@ -209,6 +222,22 @@ def test_vortex_set_counts_and_swap():
     assert vs.n1 == 2 and vs.n2 == 4
     sw = vs.swapped()
     assert sw.n1 == 4 and sw.up == vs.down
+
+
+@pytest.mark.parametrize("m", [2.9, 2.0, True, "2", None, np.float64(2.0), np.True_],
+                         ids=["fraction", "float", "bool", "str", "none", "np_float", "np_bool"])
+def test_vortex_set_refuses_a_non_integer_multiplicity(m):
+    # nothing is truncated or parsed into a multiplicity
+    with pytest.raises(ValueError, match="multiplicity must be an integer, got "):
+        vl.VortexSet(up=((0.0, 0.0, m),))
+    with pytest.raises(ValueError, match="multiplicity must be an integer, got "):
+        vl.merge_coincident([(0.0, 0.0, 1), (1.0, 0.0, m)])
+
+
+def test_vortex_set_takes_a_numpy_integer_multiplicity():
+    vs = vl.VortexSet(up=((0.0, 0.0, np.int64(2)),), down=((1.0, 0.0, np.uint8(3)),))
+    assert (vs.n1, vs.n2) == (2, 3)
+    assert type(vs.up[0][2]) is int and type(vs.down[0][2]) is int
 
 
 def test_vortex_positions_validated():

@@ -486,21 +486,36 @@ def test_solve_config_rejects_non_integer_max_newton(value):
     assert replace(cfg, max_newton=np.int64(3)).max_newton == 3
 
 
+@pytest.mark.parametrize("value", [True, False, np.True_, "1e-10", None, 1e-10 + 0j],
+                         ids=["true", "false", "np_true", "str", "none", "complex"])
+def test_solve_config_rejects_a_non_real_tol_residual(value):
+    cfg, _ = small_torus_setup()
+    with pytest.raises(ValueError, match="tol_residual must be a real number, got "):
+        replace(cfg, tol_residual=value)
+    assert replace(cfg, tol_residual=np.float64(1e-9)).tol_residual == 1e-9
+    assert replace(cfg, tol_residual=1).tol_residual == 1
+
+
 # -- Coarse-to-fine cascade --------------------------------------------------------
 
 @pytest.mark.parametrize("cfg, sides", [
-    (_torus_example_config(64), [64]),
-    (_torus_example_config(256), [64, 128, 256]),
-    (_cascade_plane_config(126), [126]),
-    (_cascade_plane_config(127), [64, 127]),
-    (_cascade_plane_config(256), [64, 128, 256]),
-    (_cascade_plane_config(257), [65, 129, 257]),
-], ids=["torus-64", "torus-256", "plane-126", "plane-127", "plane-256", "plane-257"])
+    (_torus_example_config(64), [(64, 64)]),
+    (_torus_example_config(256), [(64, 64), (128, 128), (256, 256)]),
+    (replace(_torus_example_config(), grid=vl.Grid2D.periodic(2 * np.pi, 2 * np.pi, 256, 128)),
+     [(128, 64), (256, 128)]),
+    (_cascade_plane_config(126), [(126, 126)]),
+    (_cascade_plane_config(127), [(64, 64), (127, 127)]),
+    (_cascade_plane_config(256), [(64, 64), (128, 128), (256, 256)]),
+    (_cascade_plane_config(257), [(65, 65), (129, 129), (257, 257)]),
+    (replace(_plane_config(), grid=vl.Grid2D.dirichlet(9.0, 255, 127)), [(128, 64), (255, 127)]),
+], ids=["torus-64", "torus-256", "torus-256x128", "plane-126", "plane-127", "plane-256", "plane-257",
+        "plane-255x127"])
 def test_cascade_levels(cfg, sides):
-    # sides halve while the coarser level keeps COARSEST_SIDE nodes per side
+    # sides halve while the coarser level keeps COARSEST_SIDE nodes on its
+    # shorter side
     bg = vl.build_background(cfg.vortices, cfg.grid, mu=cfg.resolved_mu())
     levels = solver._levels(cfg, bg)
-    assert [(grid.nx, grid.ny) for grid, _ in levels] == [(n, n) for n in sides]
+    assert [(grid.nx, grid.ny) for grid, _ in levels] == sides
     assert levels[-1] == (cfg.grid, bg)
     for (grid, level_bg), (fine, fine_bg) in zip(levels, levels[1:]):
         assert level_bg.exp_u0_up.grid == grid
