@@ -534,16 +534,19 @@ def _levels(cfg: SolveConfig, bg: BackgroundData) -> list[tuple[Grid2D, Backgrou
     same function.  A plane background is built on its own level.
     """
     levels = [(cfg.grid, bg)]
-    grid = coarsen(cfg.grid)
-    while min(grid.nx, grid.ny) >= COARSEST_SIDE:
+    # a halved side, n//2 (n even on the torus) or (n + 1)//2, keeps
+    # COARSEST_SIDE nodes exactly when n >= 2*COARSEST_SIDE - 1; the test
+    # comes first because a grid too small for the cascade may also be too
+    # small to coarsen at all
+    while min(levels[0][0].nx, levels[0][0].ny) >= 2 * COARSEST_SIDE - 1:
         fine_bg = levels[0][1]
+        grid = coarsen(levels[0][0])
         if grid.is_torus:
             level_bg = BackgroundData(ScalarField(grid, fine_bg.exp_u0_up.values[::2, ::2]),
                                       ScalarField(grid, fine_bg.exp_u0_down.values[::2, ::2]))
         else:
             level_bg = build_background(cfg.vortices, grid, mu=bg.mu)
         levels.insert(0, (grid, level_bg))
-        grid = coarsen(grid)
     return levels
 
 

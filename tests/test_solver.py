@@ -508,11 +508,14 @@ def test_solve_config_rejects_a_non_real_tol_residual(value):
     (_cascade_plane_config(256), [(64, 64), (128, 128), (256, 256)]),
     (_cascade_plane_config(257), [(65, 65), (129, 129), (257, 257)]),
     (replace(_plane_config(), grid=vl.Grid2D.dirichlet(9.0, 255, 127)), [(128, 64), (255, 127)]),
+    (replace(_torus_example_config(), grid=vl.Grid2D.periodic(2 * np.pi, 2 * np.pi, 256, 2)), [(256, 2)]),
+    (_cascade_plane_config(6), [(6, 6)]),
+    (_cascade_plane_config(4), [(4, 4)]),
 ], ids=["torus-64", "torus-256", "torus-256x128", "plane-126", "plane-127", "plane-256", "plane-257",
-        "plane-255x127"])
+        "plane-255x127", "torus-256x2", "plane-6", "plane-4"])
 def test_cascade_levels(cfg, sides):
     # sides halve while the coarser level keeps COARSEST_SIDE nodes on its
-    # shorter side
+    # shorter side; a grid too small to coarsen is a single level
     bg = vl.build_background(cfg.vortices, cfg.grid, mu=cfg.resolved_mu())
     levels = solver._levels(cfg, bg)
     assert [(grid.nx, grid.ny) for grid, _ in levels] == sides
